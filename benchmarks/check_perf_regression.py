@@ -45,7 +45,18 @@ DEFAULT_TOLERANCE = 0.2
 #: Default candidate window: best of the newest N records per config.
 DEFAULT_BEST_OF = 3
 
-#: file stem -> (config key fields, callable row -> {metric: ratio} | None)
+#: Record fields that define a measured configuration.  Records are
+#: grouped on every one of these they carry, so two configurations that
+#: share ``(p, k)`` — network_backends' ``m=2`` and ``m=12`` — each keep
+#: their own baseline.  ``shards`` is left out on purpose: in
+#: BENCH_vector_engine it describes the ungated sharding-parity leg, not
+#: the measured one.
+CONFIG_FIELDS = (
+    "p", "k", "m", "n", "batch", "lanes", "jobs", "queries", "window",
+    "compute", "rank", "cycles", "gen_sample",
+)
+
+#: file stem -> callable row -> {metric: ratio} | None
 CHECKS = {
     "BENCH_engine_hotpath.json": lambda row: (
         {
@@ -97,6 +108,11 @@ def load_rows(path: Path) -> list[dict]:
     return rows
 
 
+def config_key(row: dict) -> tuple:
+    """The ``(field, value)`` pairs of every config field ``row`` has."""
+    return tuple((f, row[f]) for f in CONFIG_FIELDS if f in row)
+
+
 def check_file(
     path: Path, extract, *, best_of: int, threshold: float
 ) -> list[str]:
@@ -108,12 +124,12 @@ def check_file(
         metrics = extract(row)
         if metrics is None:
             continue  # table mirror / unrelated record
-        key = (row.get("p"), row.get("k"))
-        by_config.setdefault(key, []).append(metrics)
+        by_config.setdefault(config_key(row), []).append(metrics)
     if not by_config:
         return [f"{path.name}: no metric records found"]
     failures = []
-    for key, series in sorted(by_config.items()):
+    for config, series in sorted(by_config.items()):
+        key = ",".join(f"{f}={v}" for f, v in config)
         base = series[0]
         window = series[-best_of:]
         for metric, base_val in base.items():
@@ -130,7 +146,7 @@ def check_file(
             ratio = cur_val / base_val if base_val else float("inf")
             status = "ok" if ratio >= threshold else "REGRESSION"
             print(
-                f"{path.name} p,k={key} {metric}: baseline {base_val:.2f} "
+                f"{path.name} {key} {metric}: baseline {base_val:.2f} "
                 f"-> best-of-{len(window)} {cur_val:.2f} ({ratio:.0%}) "
                 f"{status}"
             )

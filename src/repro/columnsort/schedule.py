@@ -46,31 +46,73 @@ class Transfer:
     dst_row: int
 
 
+#: One cycle of one column's part in a transformation phase:
+#: ``(keep_src, keep_dst, send_row, read_chan, dst_row)``.  A
+#: self-transfer moves row ``keep_src`` to row ``keep_dst`` of the same
+#: column without a broadcast; otherwise the column broadcasts row
+#: ``send_row`` on its own channel and reads the 1-based channel
+#: ``read_chan``, whose element lands in row ``dst_row``.  Absent parts
+#: are ``-1`` (``0`` for ``read_chan``).
+Step = tuple[int, int, int, int, int]
+
+
 @dataclass
 class BroadcastSchedule:
     """A per-cycle plan for one transformation phase.
+
+    The schedule is stored as one flat step list per column — the
+    column's whole part in the phase, precomputed once — which is what
+    the generator programs iterate (no per-cycle grid indexing or
+    :class:`Transfer` lookups) and all the schedule retains.  The
+    cycle-major :attr:`cycles` / :attr:`reads` views are derived from it
+    on each access.
 
     Attributes
     ----------
     m, k:
         Matrix dimensions.
-    cycles:
-        ``cycles[j][c]`` is the :class:`Transfer` column ``c`` *sends*
-        during cycle ``j`` (or ``None``).  The reader in cycle ``j`` for
-        channel ``c+1`` is column ``cycles[j][c].dst_col``.
-    reads:
-        ``reads[j][c]`` is the 0-based source column whose channel column
-        ``c`` must read during cycle ``j`` (or ``None``).
+    columns:
+        ``columns[c][j]`` is column ``c``'s :data:`Step` in cycle ``j``.
     """
 
     m: int
     k: int
-    cycles: list[list[Optional[Transfer]]]
-    reads: list[list[Optional[int]]]
+    columns: tuple[tuple[Step, ...], ...]
 
     def num_cycles(self) -> int:
         """Number of cycles the phase takes (= ``m`` for valid dims)."""
-        return len(self.cycles)
+        return len(self.columns[0]) if self.columns else 0
+
+    @property
+    def cycles(self) -> list[list[Optional[Transfer]]]:
+        """``cycles[j][c]``: the :class:`Transfer` column ``c`` sends in
+        cycle ``j`` (or ``None``); its reader is ``cycles[j][c].dst_col``."""
+        out: list[list[Optional[Transfer]]] = []
+        for steps in zip(*self.columns):
+            heard = {s[3] - 1: (c, s[4]) for c, s in enumerate(steps) if s[3]}
+            row: list[Optional[Transfer]] = []
+            for c, (keep_src, keep_dst, send_row, _, _) in enumerate(steps):
+                if keep_src >= 0:
+                    row.append(Transfer(c, keep_src, c, keep_dst))
+                elif send_row >= 0:
+                    row.append(Transfer(c, send_row, *heard[c]))
+                else:
+                    row.append(None)
+            out.append(row)
+        return out
+
+    @property
+    def reads(self) -> list[list[Optional[int]]]:
+        """``reads[j][c]``: the 0-based source column whose channel column
+        ``c`` reads in cycle ``j`` (itself for a self-transfer, else
+        ``None``)."""
+        return [
+            [
+                c if s[0] >= 0 else (s[3] - 1 if s[3] else None)
+                for c, s in enumerate(steps)
+            ]
+            for steps in zip(*self.columns)
+        ]
 
     def validate(self) -> None:
         """Check the collision-freedom and completeness invariants."""
@@ -250,6 +292,45 @@ def bvn_for_phase(phase: int, m: int, k: int) -> list[tuple[np.ndarray, int]]:
     return _BVN_CACHE[key]
 
 
+def transfer_events(
+    perm: np.ndarray, m: int, k: int, matchings: list[tuple[np.ndarray, int]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every element transfer of ``perm`` with its cycle, columnar.
+
+    Returns ``(cycle, src_col, src_row, dst_col, dst_row)`` int64
+    arrays, one entry per element, in ``(cycle, src_col)`` order.  The
+    cycles are the BvN ``matchings`` expanded by their counts, in order;
+    each ``(src, dst)`` column pair's transfers are queued in ascending
+    source-row order and consumed front to back.  Columnar form: events
+    sorted by ``(src_col, dst_col, src_row)`` align one-to-one with the
+    expanded matching slots sorted by ``(src_col, dst_col, cycle)``.
+    Both :func:`build_schedule` and the vector engine's lowering
+    (:mod:`repro.mcb.vector.lower`) assign cycles through this one rule.
+    """
+    perm = np.asarray(perm, dtype=np.int64)
+    src_col, src_row = np.divmod(np.arange(m * k, dtype=np.int64), m)
+    dst_col, dst_row = np.divmod(perm, m)
+    ev_order = np.lexsort((src_row, dst_col, src_col))
+
+    mx = np.repeat(
+        np.stack([mt for mt, _ in matchings]).astype(np.int64),
+        [c for _, c in matchings],
+        axis=0,
+    )  # (cycles, k): in cycle j column s sends to column mx[j, s]
+    n_cycles = mx.shape[0]
+    j_idx = np.repeat(np.arange(n_cycles, dtype=np.int64), k)
+    s_idx = np.tile(np.arange(k, dtype=np.int64), n_cycles)
+    slot_order = np.lexsort((j_idx, mx.ravel(), s_idx))
+
+    cycle = np.empty(m * k, dtype=np.int64)
+    cycle[ev_order] = j_idx[slot_order]
+    order = np.lexsort((src_col, cycle))
+    return (
+        cycle[order], src_col[order], src_row[order],
+        dst_col[order], dst_row[order],
+    )
+
+
 def build_schedule(
     perm: np.ndarray,
     m: int,
@@ -267,34 +348,21 @@ def build_schedule(
     if matchings is None:
         t = transfer_matrix(perm, m, k)
         matchings = bvn_decomposition(t)
-
-    # Queue the transfers of each (src, dst) column pair in row order.
-    queues: dict[tuple[int, int], list[Transfer]] = {}
-    for g in range(m * k):
-        src_col, src_row = divmod(g, m)
-        dst = int(perm[g])
-        dst_col, dst_row = divmod(dst, m)
-        queues.setdefault((src_col, dst_col), []).append(
-            Transfer(src_col, src_row, dst_col, dst_row)
-        )
-    for q in queues.values():
-        q.reverse()  # pop() then yields ascending row order
-
-    cycles: list[list[Optional[Transfer]]] = []
-    reads: list[list[Optional[int]]] = []
-    for matching, count in matchings:
-        for _ in range(count):
-            cycle: list[Optional[Transfer]] = [None] * k
-            rd: list[Optional[int]] = [None] * k
-            for s in range(k):
-                d = int(matching[s])
-                tr = queues[(s, d)].pop()
-                cycle[s] = tr
-                rd[d] = s
-            cycles.append(cycle)
-            reads.append(rd)
-    assert all(not q for q in queues.values())
-    return BroadcastSchedule(m=m, k=k, cycles=cycles, reads=reads)
+    cyc, sc, sr, dc, dr = transfer_events(perm, m, k, matchings)
+    # Scatter every transfer into its columns' steps (see :data:`Step`).
+    steps = np.full((k, sum(c for _, c in matchings), 5), -1, dtype=np.int64)
+    steps[:, :, 3] = 0
+    keep = sc == dc
+    steps[sc[keep], cyc[keep], 0] = sr[keep]
+    steps[sc[keep], cyc[keep], 1] = dr[keep]
+    move = ~keep
+    steps[sc[move], cyc[move], 2] = sr[move]
+    steps[dc[move], cyc[move], 3] = sc[move] + 1
+    steps[dc[move], cyc[move], 4] = dr[move]
+    return BroadcastSchedule(
+        m=m, k=k,
+        columns=tuple(tuple(map(tuple, col)) for col in steps.tolist()),
+    )
 
 
 def schedule_for_phase(phase: int, m: int, k: int) -> BroadcastSchedule:

@@ -87,10 +87,19 @@ class Message:
         broadcast schedules frequently deliver one message object many
         times (every repetition of the Section 2 simulation, every
         reader round), so the engines charge bits without re-encoding.
+        Fields of exact type ``int`` — nearly every field the paper's
+        algorithms send — are charged inline with :func:`scalar_bits`'s
+        integer rule; every other type goes through :func:`scalar_bits`.
         """
         bits = self._bits
         if bits < 0:
-            bits = self._bits = 8 + sum(scalar_bits(f) for f in self.fields)
+            bits = 8
+            for f in self.fields:
+                if f.__class__ is int:
+                    bits += (f.bit_length() or 1) + 1
+                else:
+                    bits += scalar_bits(f)
+            self._bits = bits
         return bits
 
     def __iter__(self):

@@ -56,6 +56,18 @@ and cost accounting to the straightforward engine preserved in
   per-cycle reads) so ``MessageBroadcast.readers`` and all accounting
   stay bit-identical to the reference engine.
 
+Per message, the loop charges ``Message.bit_size()``, which is computed
+once per message object; fields of exact type ``int`` are charged inline
+and only other types go through :func:`~repro.mcb.message.scalar_bits`.
+The programs it drives keep their own per-cycle work small too: the
+oblivious columnsort schedules are stored as one precomputed step list
+per column (:data:`~repro.columnsort.schedule.Step`), which the
+transformation programs iterate without grid lookups, building a fresh
+op only for writes and re-yielding the shared
+:data:`~repro.mcb.program.IDLE` for the cycles in which they idle.
+(The vector engine's ingest has its own single dtype rule,
+:func:`repro.mcb.vector.executor.detect_dtype`.)
+
 On a collision the engine records the aborted phase's partial
 :class:`~repro.mcb.trace.PhaseStats` (costs of all completed cycles,
 ``collisions=1``) via ``stats.add`` before raising, so adversary and

@@ -36,10 +36,6 @@ from .message import EMPTY, Message
 from .program import CycleOp, ProcContext, Sleep
 
 
-def _sleep(t: int):
-    if t > 0:
-        yield Sleep(t)
-
 
 def greedy_edge_coloring(
     edges: Sequence[tuple[int, int]], p: int
@@ -188,12 +184,14 @@ def alltoall(
                 src_of_read = s + 1
         if wchan is None and rchan is None:
             continue
-        yield from _sleep(t - t_now)
+        if t > t_now:
+            yield Sleep(t - t_now)
         got = yield CycleOp(write=wchan, payload=payload, read=rchan)
         if rchan is not None:
             assert got is not EMPTY, "scheduled sender must transmit"
             received.append((src_of_read, unpack(got.fields)))
         t_now = t + 1
-    yield from _sleep(len(plan) - t_now)
+    if len(plan) > t_now:
+        yield Sleep(len(plan) - t_now)
     assert all(not q for q in queues.values())
     return received

@@ -33,7 +33,6 @@ from .executor import (
     build_state,
     compact_rows,
     detect_dtype,
-    detect_dtype_rows,
     masked_reduce,
     message_bits,
     static_message_bits,
@@ -62,7 +61,6 @@ __all__ = [
     "build_state",
     "compact_rows",
     "detect_dtype",
-    "detect_dtype_rows",
     "fuse_phases",
     "load_compiled_phases",
     "lower_broadcast_schedule",

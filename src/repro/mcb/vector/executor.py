@@ -31,7 +31,7 @@ obs-pipeline event stream when a dispatcher is attached.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -134,74 +134,78 @@ def static_message_bits(dtype: np.dtype) -> Optional[int]:
     return None
 
 
-def detect_dtype(values: Iterable[Any]) -> np.dtype:
+_OBJECT = np.dtype(object)
+
+
+def detect_dtype(
+    rows: Sequence[Sequence[Any]],
+) -> tuple[np.dtype, Optional[np.ndarray]]:
     """The narrowest dtype that preserves generator-engine semantics.
 
-    Pure ``int`` data (within int64 exactness) -> int64, pure ``float``
-    -> float64, anything else — tuples, strings, bools, mixed int/float
-    columns, huge integers — -> object, where comparisons and bit
-    accounting run the scalar Python rules element by element.  Mixing
-    ints and floats must not promote to float64: the generator engines
-    charge an int payload its exact bit length, not 64 bits.
+    The one dtype rule of every vector ingest path (:func:`build_state`,
+    :func:`build_batched_state`,
+    :class:`~repro.select.vector.VectorCandidates`).  Pure ``int`` data
+    strictly inside ``±2^62`` (int64 exactness) -> int64, pure ``float``
+    -> float64, no values at all -> float64, anything else — tuples,
+    strings, bools, int subclasses, mixed int/float columns, huge
+    integers — -> object, where comparisons and bit accounting run the
+    scalar Python rules element by element.  Mixing ints and floats must
+    not promote to float64: the generator engines charge an int payload
+    its exact bit length, not 64 bits.
+
+    One C pass collects the exact value types (``set(map(type, ...))``)
+    and one parses the values; the int bound is checked on the parsed
+    array.  Returns ``(dtype, flat)``: ``flat`` is every value in row
+    order as a 1-D array of ``dtype`` (``None`` for object), which the
+    callers reshape or scatter instead of parsing the rows again.
+    ``rows`` may be ragged.
     """
-    kind = ""
-    for v in values:
-        t = type(v)
-        if t is int:
-            if not -_INT_LIMIT < v < _INT_LIMIT:
-                return np.dtype(object)
-            this = "i"
-        elif t is float:
-            this = "f"
-        else:
-            return np.dtype(object)
-        if not kind:
-            kind = this
-        elif kind != this:
-            return np.dtype(object)
-    return np.dtype({"i": np.int64, "f": np.float64, "": np.float64}[kind])
-
-
-def detect_dtype_rows(rows: Iterable[Sequence[Any]]) -> np.dtype:
-    """:func:`detect_dtype` over row sequences, without per-element cost.
-
-    Type scanning runs as ``set.update(map(type, row))`` (one C pass per
-    row) and the int-exactness check as per-row ``min``/``max`` — same
-    answer as the element-by-element rule on every input, ~20x faster on
-    the wide batched states where dtype detection used to be a
-    measurable slice of the pass.
-    """
-    types: set = set()
-    lo = hi = 0
-    for row in rows:
-        types.update(map(type, row))
-        if types == {int} and row:
-            lo = min(lo, min(row))
-            hi = max(hi, max(row))
-    if not types:
-        return np.dtype(np.float64)
+    types = set(map(type, chain.from_iterable(rows)))
+    if len(types) > 1:
+        return _OBJECT, None
+    count = sum(map(len, rows))
     if types == {int}:
-        if -_INT_LIMIT < lo and hi < _INT_LIMIT:
-            return np.dtype(np.int64)
-        return np.dtype(object)
-    if types == {float}:
-        return np.dtype(np.float64)
-    return np.dtype(object)
+        try:
+            flat = np.fromiter(
+                chain.from_iterable(rows), dtype=np.int64, count=count
+            )
+        except OverflowError:  # beyond int64: exact math needs objects
+            return _OBJECT, None
+        if -_INT_LIMIT < int(flat.min()) and int(flat.max()) < _INT_LIMIT:
+            return flat.dtype, flat
+        return _OBJECT, None
+    if types and types != {float}:
+        return _OBJECT, None
+    flat = np.fromiter(
+        chain.from_iterable(rows), dtype=np.float64, count=count
+    )
+    return flat.dtype, flat
+
+
+def _shape(rows: Sequence[Sequence[Any]], what: str) -> tuple[int, int]:
+    """``(p, slots)`` of an even row set; ragged rows are refused."""
+    slots = len(rows[0]) if rows else 0
+    if any(len(row) != slots for row in rows):
+        raise ConfigurationError(f"all {what} must share one (p, slots) shape")
+    return len(rows), slots
 
 
 def build_state(
     rows: Sequence[Sequence[Any]], dtype: Optional[np.dtype] = None
 ) -> np.ndarray:
     """Stack per-processor rows into the ``(p, slots)`` state matrix."""
+    p, slots = _shape(rows, "rows")
     if dtype is None:
-        dtype = detect_dtype(v for row in rows for v in row)
-    if dtype == np.dtype(object):
-        out = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
+        dtype, flat = detect_dtype(rows)
+        if flat is not None:
+            return flat.reshape(p, slots)
+    if dtype == _OBJECT:
+        out = np.empty((p, slots), dtype=object)
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
                 out[i, j] = v
         return out
-    return np.array(rows, dtype=dtype)
+    return np.array(rows, dtype=dtype).reshape(p, slots)
 
 
 def build_batched_state(
@@ -214,48 +218,29 @@ def build_batched_state(
     """
     if not lanes:
         raise ConfigurationError("a batch needs at least one lane")
-    if dtype is None:
-        rows_flat = chain.from_iterable(lanes)
-        types = set(map(type, chain.from_iterable(rows_flat)))
-        if types == {int}:
-            # Parse first, bounds-check in C afterwards — cheaper than
-            # the per-row Python min/max of detect_dtype_rows on wide
-            # batches, same answer: int64 only when every value sits
-            # strictly inside ±2^62, object otherwise.
-            try:
-                arr = np.array(lanes, dtype=np.int64)
-            except OverflowError:
-                arr = None  # beyond int64: exact math needs objects
-            if arr is not None:
-                if arr.ndim != 3:
-                    raise ConfigurationError(
-                        "all batch lanes must share one (p, slots) shape"
-                    )
-                if arr.size == 0 or (
-                    -_INT_LIMIT < int(arr.min())
-                    and int(arr.max()) < _INT_LIMIT
-                ):
-                    return np.ascontiguousarray(arr.transpose(1, 2, 0))
-            dtype = np.dtype(object)
-        elif types == {float} or not types:
-            dtype = np.dtype(np.float64)
-        else:
-            dtype = np.dtype(object)
-    if dtype != np.dtype(object):
-        # One C-level parse of the whole nested batch into (B, p, slots),
-        # then a single transpose+copy into the contiguous (p, slots, B)
-        # layout — much cheaper than a strided per-lane assignment loop.
-        arr = np.array(lanes, dtype=dtype)
-        if arr.ndim != 3:
-            raise ConfigurationError(
-                "all batch lanes must share one (p, slots) shape"
-            )
-        return np.ascontiguousarray(arr.transpose(1, 2, 0))
     p = len(lanes[0])
-    slots = len(lanes[0][0]) if p else 0
-    out = np.empty((p, slots, len(lanes)), dtype=dtype)
-    for b, rows in enumerate(lanes):
-        out[:, :, b] = build_state(rows, dtype)
+    if any(len(lane) != p for lane in lanes):
+        raise ConfigurationError(
+            "all batch lanes must share one (p, slots) shape"
+        )
+    rows = list(chain.from_iterable(lanes))
+    _, slots = _shape(rows, "batch lanes")
+    if dtype is None:
+        dtype, parsed = detect_dtype(rows)
+    elif dtype != _OBJECT:
+        parsed = np.array(rows, dtype=dtype)
+    else:
+        parsed = None
+    if parsed is not None:
+        # One transpose+copy of the (B, p, slots) parse into the
+        # contiguous (p, slots, B) layout — much cheaper than a strided
+        # per-lane assignment loop.
+        return np.ascontiguousarray(
+            parsed.reshape(len(lanes), p, slots).transpose(1, 2, 0)
+        )
+    out = np.empty((p, slots, len(lanes)), dtype=object)
+    for b, lane in enumerate(lanes):
+        out[:, :, b] = build_state(lane, _OBJECT)
     return out
 
 

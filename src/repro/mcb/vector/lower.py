@@ -26,7 +26,11 @@ from typing import Sequence
 import numpy as np
 
 from ...columnsort.matrix import PHASE_PERMS, downshift_perm, transpose_perm
-from ...columnsort.schedule import BroadcastSchedule, bvn_for_phase
+from ...columnsort.schedule import (
+    BroadcastSchedule,
+    bvn_for_phase,
+    transfer_events,
+)
 from ..errors import ConfigurationError
 from ..routing import alltoall_schedule
 from ..simulate import host_index, host_of, real_channel, subslot
@@ -62,45 +66,17 @@ def lower_broadcast_schedule(sched: BroadcastSchedule) -> SchedulePlan:
 def _phase_event_arrays(
     phase: int, m: int, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One transformation phase as flat event arrays, without the
+    """One transformation phase as flat event arrays
+    (:func:`~repro.columnsort.schedule.transfer_events`), without the
     intermediate :class:`~repro.columnsort.schedule.BroadcastSchedule`.
 
-    Returns ``(cycle, src_col, src_row, dst_col, dst_row)`` int64 arrays,
-    one entry per element, in ``(cycle, src_col)`` order — exactly the
-    scan order of :func:`lower_broadcast_schedule` over
-    :func:`~repro.columnsort.schedule.build_schedule`'s output, which the
-    event-stream parity with the generator engines depends on.
-
-    The cycle assignment replicates ``build_schedule``: each
-    ``(src, dst)`` column pair's transfers are queued in ascending
-    source-row order, and the cycles (the BvN matchings expanded by their
-    counts, in order) consume each queue front to back.  Columnar form:
-    events sorted by ``(src_col, dst_col, src_row)`` align one-to-one
-    with the expanded matching slots sorted by ``(src_col, dst_col,
-    cycle)``.
+    The ``(cycle, src_col)`` order is exactly the scan order of
+    :func:`lower_broadcast_schedule` over
+    :func:`~repro.columnsort.schedule.build_schedule`'s output, which
+    the event-stream parity with the generator engines depends on.
     """
-    matchings = bvn_for_phase(phase, m, k)
-    perm = np.asarray(PHASE_PERMS[phase](m, k), dtype=np.int64)
-    src_col, src_row = np.divmod(np.arange(m * k, dtype=np.int64), m)
-    dst_col, dst_row = np.divmod(perm, m)
-    ev_order = np.lexsort((src_row, dst_col, src_col))
-
-    mx = np.repeat(
-        np.stack([mt for mt, _ in matchings]).astype(np.int64),
-        [c for _, c in matchings],
-        axis=0,
-    )  # (cycles, k): in cycle j column s sends to column mx[j, s]
-    n_cycles = mx.shape[0]
-    j_idx = np.repeat(np.arange(n_cycles, dtype=np.int64), k)
-    s_idx = np.tile(np.arange(k, dtype=np.int64), n_cycles)
-    slot_order = np.lexsort((j_idx, mx.ravel(), s_idx))
-
-    cycle = np.empty(m * k, dtype=np.int64)
-    cycle[ev_order] = j_idx[slot_order]
-    order = np.lexsort((src_col, cycle))
-    return (
-        cycle[order], src_col[order], src_row[order],
-        dst_col[order], dst_row[order],
+    return transfer_events(
+        PHASE_PERMS[phase](m, k), m, k, bvn_for_phase(phase, m, k)
     )
 
 

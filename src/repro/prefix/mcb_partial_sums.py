@@ -64,12 +64,6 @@ def _next_pow2(p: int) -> int:
     return q
 
 
-def _sleep(t: int):
-    """Yield an exact idle period (no-op for t <= 0)."""
-    if t > 0:
-        yield Sleep(t)
-
-
 def mcb_partial_sums(
     net: MCBNetwork,
     values: dict[int, Any],
@@ -121,20 +115,24 @@ def mcb_partial_sums(
                 receiver_j = ((pid - 1) >> (l + 1)) + 1
             if sender_j is not None:
                 slot = sender_j - 1
-                yield from _sleep(slot // k)
+                if slot >= k:
+                    yield Sleep(slot // k)
                 yield CycleOp(
                     write=slot % k + 1, payload=Message("up", vals[l])
                 )
-                yield from _sleep(level_cycles - slot // k - 1)
+                if level_cycles - slot // k > 1:
+                    yield Sleep(level_cycles - slot // k - 1)
             elif receiver_j is not None:
                 slot = receiver_j - 1
-                yield from _sleep(slot // k)
+                if slot >= k:
+                    yield Sleep(slot // k)
                 got = yield CycleOp(read=slot % k + 1)
                 right = identity if got is EMPTY else got[0]
                 vals[l + 1] = op(vals[l], right)
-                yield from _sleep(level_cycles - slot // k - 1)
+                if level_cycles - slot // k > 1:
+                    yield Sleep(level_cycles - slot // k - 1)
             else:
-                yield from _sleep(level_cycles)
+                yield Sleep(level_cycles)
 
         # --- top-down sweep -------------------------------------------
         down: dict[int, Any] = {}
@@ -157,25 +155,29 @@ def mcb_partial_sums(
                 # I also simulate the left son: it inherits F locally.
                 down[l] = down[l + 1]
                 slot = sender_j - 1
-                yield from _sleep(slot // k)
+                if slot >= k:
+                    yield Sleep(slot // k)
                 yield CycleOp(
                     write=slot % k + 1,
                     payload=Message("down", op(down[l + 1], vals[l])),
                 )
-                yield from _sleep(level_cycles - slot // k - 1)
+                if level_cycles - slot // k > 1:
+                    yield Sleep(level_cycles - slot // k - 1)
             elif receiver_j is not None:
                 slot = receiver_j - 1
-                yield from _sleep(slot // k)
+                if slot >= k:
+                    yield Sleep(slot // k)
                 got = yield CycleOp(read=slot % k + 1)
                 assert got is not EMPTY, "real right son must hear its father"
                 down[l] = got[0]
-                yield from _sleep(level_cycles - slot // k - 1)
+                if level_cycles - slot // k > 1:
+                    yield Sleep(level_cycles - slot // k - 1)
             else:
                 if (pid - 1) % (1 << (l + 1)) == 0:
                     # Father of an entirely-virtual right son: left son
                     # (myself) still inherits F.
                     down[l] = down[l + 1]
-                yield from _sleep(level_cycles)
+                yield Sleep(level_cycles)
 
         prev = down[0]
         incl = op(prev, a)
@@ -195,7 +197,8 @@ def mcb_partial_sums(
             events = sorted({c for c in (write_cycle, read_cycle) if c is not None})
             t = 0
             for c in events:
-                yield from _sleep(c - t)
+                if c > t:
+                    yield Sleep(c - t)
                 w = wp = rd = None
                 if write_cycle == c:
                     w = (pid - 2) % k + 1
@@ -206,7 +209,8 @@ def mcb_partial_sums(
                 if rd is not None:
                     got = res
                 t = c + 1
-            yield from _sleep(stage_cycles - t)
+            if stage_cycles > t:
+                yield Sleep(stage_cycles - t)
             nxt = incl if pid == p else (got[0] if got not in (None, EMPTY) else None)
         return PartialSums(prev=prev, incl=incl, next=nxt)
 
@@ -248,18 +252,22 @@ def mcb_total_sum(
                 receiver_j = ((pid - 1) >> (l + 1)) + 1
             if sender_j is not None:
                 slot = sender_j - 1
-                yield from _sleep(slot // k)
+                if slot >= k:
+                    yield Sleep(slot // k)
                 yield CycleOp(write=slot % k + 1, payload=Message("up", vals[l]))
-                yield from _sleep(level_cycles - slot // k - 1)
+                if level_cycles - slot // k > 1:
+                    yield Sleep(level_cycles - slot // k - 1)
             elif receiver_j is not None:
                 slot = receiver_j - 1
-                yield from _sleep(slot // k)
+                if slot >= k:
+                    yield Sleep(slot // k)
                 got = yield CycleOp(read=slot % k + 1)
                 right = identity if got is EMPTY else got[0]
                 vals[l + 1] = op(vals[l], right)
-                yield from _sleep(level_cycles - slot // k - 1)
+                if level_cycles - slot // k > 1:
+                    yield Sleep(level_cycles - slot // k - 1)
             else:
-                yield from _sleep(level_cycles)
+                yield Sleep(level_cycles)
         if pid == 1:
             total = vals[r]
             yield CycleOp(write=1, payload=Message("total", total), read=1)

@@ -34,12 +34,8 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..mcb.vector.executor import (
-    _INT_LIMIT,
-    compact_rows,
-    detect_dtype_rows,
-    masked_reduce,
-)
+from ..mcb.vector import executor
+from ..mcb.vector.executor import compact_rows, masked_reduce
 
 
 class VectorCandidates:
@@ -52,56 +48,25 @@ class VectorCandidates:
     """
 
     def __init__(self, parts: Mapping[int, Sequence[Any]], p: int):
-        rows = [list(parts[i]) for i in range(1, p + 1)]
+        rows = [parts[i] for i in range(1, p + 1)]
         self.p = p
         lengths = [len(r) for r in rows]
         self.cap = max(lengths, default=0)
         self.counts = np.array(lengths, dtype=np.int64)
-        arr = self._even_typed_array(rows, lengths)
-        if arr is not None:
-            self.numeric = True
-            self.values = arr
-            return
-        dtype = detect_dtype_rows(rows)
-        self.numeric = dtype != np.dtype(object)
-        self.values = (
-            np.zeros((p, self.cap), dtype=dtype)
-            if self.numeric
-            else np.empty((p, self.cap), dtype=object)
-        )
-        for i, r in enumerate(rows):
-            if self.numeric:
-                self.values[i, : len(r)] = r
-            else:
+        dtype, flat = executor.detect_dtype(rows)
+        self.numeric = flat is not None
+        if not self.numeric:
+            self.values = np.empty((p, self.cap), dtype=object)
+            for i, r in enumerate(rows):
                 for j, v in enumerate(r):
                     self.values[i, j] = v
-
-    @staticmethod
-    def _even_typed_array(rows, lengths) -> Any:
-        """One-shot ``np.array`` build for even pure-int/-float rows.
-
-        Same dtype answer as :func:`detect_dtype_rows` (int64 only when
-        every value sits strictly inside ±2^62), but the bounds check
-        runs in C on the parsed array instead of per-row Python
-        ``min``/``max``.  Returns ``None`` whenever the general path
-        must decide (ragged rows, mixed/object types, huge ints).
-        """
-        if not rows or len(set(lengths)) > 1 or not lengths[0]:
-            return None
-        types: set = set()
-        for r in rows:
-            types.update(map(type, r))
-        if types == {int}:
-            try:
-                arr = np.array(rows, dtype=np.int64)
-            except OverflowError:
-                return None
-            if -_INT_LIMIT < int(arr.min()) and int(arr.max()) < _INT_LIMIT:
-                return arr
-            return None
-        if types == {float}:
-            return np.array(rows, dtype=np.float64)
-        return None
+        elif flat.size == p * self.cap:
+            self.values = flat.reshape(p, self.cap)
+        else:
+            # Ragged rows: scatter the row-major parse into the live
+            # prefix of each zero-padded row.
+            self.values = np.zeros((p, self.cap), dtype=dtype)
+            self.values[self._live()] = flat
 
     # -- read side -----------------------------------------------------
     def total(self) -> int:

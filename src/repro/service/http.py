@@ -193,10 +193,13 @@ class ServiceServer:
         for line in lines[1:]:
             name, _, value = line.partition(":")
             if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
+                # ASCII digits only: int() would also take "-5", "+5" and
+                # "1_0", and a negative length must never reach
+                # readexactly().
+                value = value.strip()
+                if not (value.isascii() and value.isdigit()):
                     raise _HttpError(400, "malformed Content-Length")
+                content_length = int(value)
         if content_length > MAX_BODY_BYTES:
             raise _HttpError(413, "request body too large")
         body = (

@@ -36,7 +36,7 @@ from ..columnsort.schedule import (
 from ..mcb.errors import ConfigurationError
 from ..mcb.message import Message
 from ..mcb.network import MCBNetwork
-from ..mcb.program import CycleOp, ProcContext
+from ..mcb.program import IDLE, CycleOp, ProcContext
 from .common import descending, pack_elem, unpack_elem
 
 
@@ -51,38 +51,54 @@ class SortResult:
         return {pid: list(v) for pid, v in self.output.items()}
 
 
+def _apply_steps(
+    col_idx: int, column: list, steps, new_col: list, complete: bool
+):
+    """Sub-generator: run column ``col_idx``'s precomputed schedule steps
+    (:data:`~repro.columnsort.schedule.Step`) over ``column``, filling
+    and returning ``new_col`` (checked full when ``complete``).
+
+    A fresh op is built only for writes.  BvN cycles are perfect
+    matchings, so a column that does not write keeps its element and
+    re-yields the shared :data:`~repro.mcb.program.IDLE`; reads without
+    a write occur only in the wrap-skip phases.  Elements are packed
+    into and unpacked from message fields inline (the
+    :func:`~repro.sort.common.pack_elem` / ``unpack_elem`` rule).
+    """
+    wchan = col_idx + 1
+    for keep_src, keep_dst, send_row, read_chan, dst_row in steps:
+        if send_row >= 0:
+            e = column[send_row]
+            got = yield CycleOp(
+                wchan,
+                Message("elem", *e) if isinstance(e, tuple)
+                else Message("elem", e),
+                read_chan or None,
+            )
+        else:
+            if keep_src >= 0:
+                # Self-transfer: keep the element locally, no broadcast.
+                new_col[keep_dst] = column[keep_src]
+            got = yield CycleOp(read=read_chan) if read_chan else IDLE
+        if read_chan:
+            f = got.fields
+            new_col[dst_row] = f[0] if len(f) == 1 else tuple(f)
+    assert not complete or None not in new_col
+    return new_col
+
+
 def transformation_phase(
     col_idx: int, column: list, sched: BroadcastSchedule
 ):
     """Sub-generator: run one transformation phase for 0-based column
     ``col_idx`` whose current (sorted) contents are ``column``.
 
-    Yields one :class:`CycleOp` per schedule cycle and returns the new
-    column contents (positionally exact).
+    Yields one op per schedule cycle and returns the new column contents
+    (positionally exact).
     """
-    m = sched.m
-    new_col: list = [None] * m
-    for j in range(sched.num_cycles()):
-        tr = sched.cycles[j][col_idx]
-        src = sched.reads[j][col_idx]
-        wchan = None
-        payload = None
-        rchan = None
-        if tr is not None:
-            if tr.dst_col == col_idx:
-                # Self-transfer: keep the element locally, no broadcast.
-                new_col[tr.dst_row] = column[tr.src_row]
-            else:
-                wchan = col_idx + 1
-                payload = Message("elem", *pack_elem(column[tr.src_row]))
-        if src is not None and src != col_idx:
-            rchan = src + 1
-        got = yield CycleOp(write=wchan, payload=payload, read=rchan)
-        if rchan is not None:
-            incoming = sched.cycles[j][src]
-            new_col[incoming.dst_row] = unpack_elem(got.fields)
-    assert all(e is not None for e in new_col)
-    return new_col
+    return _apply_steps(
+        col_idx, column, sched.columns[col_idx], [None] * sched.m, True
+    )
 
 
 def shift_phases_with_wrap_skip(col_idx: int, column: list, m: int, k: int):
@@ -104,36 +120,28 @@ def shift_phases_with_wrap_skip(col_idx: int, column: list, m: int, k: int):
     last = k - 1
 
     # ---- phase 6: up-shift, parking the wrap-around ----------------------
-    sched6 = schedule_for_phase(6, m, k)
-    new_col: list = [None] * m
+    # Column k's send in cycle j wraps to column 1 exactly when column 1
+    # reads channel k in cycle j.
+    plan6 = schedule_for_phase(6, m, k).columns
     parked: list = []
-    for j in range(sched6.num_cycles()):
-        tr = sched6.cycles[j][col_idx]
-        src = sched6.reads[j][col_idx]
-        wchan = payload = rchan = None
-        if tr is not None:
-            if tr.dst_col == col_idx:
-                new_col[tr.dst_row] = column[tr.src_row]
-            elif col_idx == last and tr.dst_col == 0:
-                parked.append((tr.src_row, column[tr.src_row]))
-            else:
-                wchan = col_idx + 1
-                payload = Message("elem", *pack_elem(column[tr.src_row]))
-        if src is not None and src != col_idx:
-            if not (col_idx == 0 and src == last):
-                rchan = src + 1
-        got = yield CycleOp(write=wchan, payload=payload, read=rchan)
-        if rchan is not None:
-            incoming = sched6.cycles[j][src]
-            new_col[incoming.dst_row] = unpack_elem(got.fields)
-    col = new_col
+    steps = []
+    for j, (keep_src, keep_dst, send_row, read_chan, dst_row) in enumerate(
+        plan6[col_idx]
+    ):
+        if send_row >= 0 and col_idx == last and plan6[0][j][3] == k:
+            parked.append((send_row, column[send_row]))
+            send_row = -1
+        if col_idx == 0 and read_chan == k:
+            read_chan = 0
+        steps.append((keep_src, keep_dst, send_row, read_chan, dst_row))
+    col = yield from _apply_steps(col_idx, column, steps, [None] * m, False)
 
     # ---- phase 7: sort real contents (column 1 skipped per the paper) ----
     if col_idx != 0:
         col = descending(col)
 
     # ---- phase 8: down-shift, unparking instead of col1->colk traffic ----
-    sched8 = schedule_for_phase(8, m, k)
+    plan8 = schedule_for_phase(8, m, k).columns
     perm8 = downshift_perm(m, k)
     new_col = [None] * m
     if col_idx == last:
@@ -146,28 +154,18 @@ def shift_phases_with_wrap_skip(col_idx: int, column: list, m: int, k: int):
             dest = int(perm8[0 * m + row1])
             assert dest // m == last
             new_col[dest % m] = e
-    for j in range(sched8.num_cycles()):
-        tr = sched8.cycles[j][col_idx]
-        src = sched8.reads[j][col_idx]
-        wchan = payload = rchan = None
-        if tr is not None:
-            if tr.dst_col == col_idx:
-                if col[tr.src_row] is not None:
-                    new_col[tr.dst_row] = col[tr.src_row]
-            elif col_idx == 0 and tr.dst_col == last:
-                pass  # ghost row: its element never left column k
-            else:
-                wchan = col_idx + 1
-                payload = Message("elem", *pack_elem(col[tr.src_row]))
-        if src is not None and src != col_idx:
-            if not (col_idx == last and src == 0):
-                rchan = src + 1
-        got = yield CycleOp(write=wchan, payload=payload, read=rchan)
-        if rchan is not None:
-            incoming = sched8.cycles[j][src]
-            new_col[incoming.dst_row] = unpack_elem(got.fields)
-    assert all(e is not None for e in new_col)
-    return new_col
+    steps = []
+    for j, (keep_src, keep_dst, send_row, read_chan, dst_row) in enumerate(
+        plan8[col_idx]
+    ):
+        if keep_src >= 0 and col[keep_src] is None:
+            keep_src = keep_dst = -1  # a ghost row keeps nothing
+        if send_row >= 0 and col_idx == 0 and plan8[last][j][3] == 1:
+            send_row = -1  # ghost row: its element never left column k
+        if col_idx == last and read_chan == 1:
+            read_chan = 0
+        steps.append((keep_src, keep_dst, send_row, read_chan, dst_row))
+    return (yield from _apply_steps(col_idx, col, steps, new_col, True))
 
 
 def paper_transpose_transformation(col_idx: int, column: list, m: int, k: int):

@@ -35,10 +35,6 @@ from .common import dummy_like, is_dummy, pack_elem, unpack_elem
 from .even_pk import SortResult, columnsort_program
 
 
-def _sleep(t: int):
-    if t > 0:
-        yield Sleep(t)
-
 
 def sort_ones(
     net: MCBNetwork,
@@ -89,11 +85,14 @@ def sort_ones(
             column.extend(
                 dummy_like(mine, seq=r) for r in range(m_pad - len(column))
             )
-            yield from _sleep(g - block_size)
+            if g > block_size:
+                yield Sleep(g - block_size)
         else:
-            yield from _sleep(w)
+            if w > 0:
+                yield Sleep(w)
             yield CycleOp(write=chan, payload=Message("elem", *pack_elem(mine)))
-            yield from _sleep(g - 2 - w)
+            if g - 2 > w:
+                yield Sleep(g - 2 - w)
         # Alignment: the stage is exactly g - 1 cycles for everyone —
         # reps read block_size-1 and sleep g-block_size; member w sleeps
         # w, writes once, sleeps g-2-w.
@@ -102,7 +101,7 @@ def sort_ones(
         if is_rep:
             column = yield from columnsort_program(j, column, m_pad, n_cols)
         else:
-            yield from _sleep(4 * m_pad)
+            yield Sleep(4 * m_pad)
 
         # ---- redistribution: single pass, segments are single slots ----
         # Global rank r (0-based) lives at column r // m_pad, row r % m_pad;
@@ -122,7 +121,8 @@ def sort_ones(
                 # Reps advance one row at a time (the next row might be
                 # real); members jump straight to their read cycle.
                 nxt = t + 1 if is_rep else (want_row if t < want_row else m_pad)
-                yield from _sleep(nxt - t)
+                if nxt > t:
+                    yield Sleep(nxt - t)
                 t = nxt
                 continue
             got = yield CycleOp(write=wchan, payload=wpay, read=rd)

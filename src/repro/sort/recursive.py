@@ -64,10 +64,6 @@ from .rank_sort import rank_sort_group
 from .virtual import virtual_transformation
 
 
-def _sleep(t: int):
-    if t > 0:
-        yield Sleep(t)
-
 
 def _is_pow2(x: int) -> bool:
     return x >= 1 and (x & (x - 1)) == 0
@@ -163,7 +159,8 @@ def segment_transformation(
         row = sched.cycles[u][my_seg]
         if not lo <= row < hi:
             continue
-        yield from _sleep(u - t_now)
+        if u > t_now:
+            yield Sleep(u - t_now)
         src_seg = sched.reads[u][my_seg]
         got = yield CycleOp(
             write=chan_base + my_seg + 1,
@@ -172,7 +169,8 @@ def segment_transformation(
         )
         out[row - lo] = unpack_elem(got.fields)
         t_now = u + 1
-    yield from _sleep(seg_len - t_now)
+    if seg_len > t_now:
+        yield Sleep(seg_len - t_now)
     return out
 
 

@@ -48,10 +48,6 @@ from .common import dummy_like, is_dummy, pack_elem, unpack_elem
 from .even_pk import SortResult, columnsort_program
 
 
-def _sleep(t: int):
-    if t > 0:
-        yield Sleep(t)
-
 
 def sort_uneven(
     net: MCBNetwork,
@@ -153,19 +149,22 @@ def sort_uneven(
             column.extend(
                 dummy_like(mine[0], seq=r) for r in range(m_pad - len(column))
             )
-            yield from _sleep(m_pad - to_read)
+            if m_pad > to_read:
+                yield Sleep(m_pad - to_read)
         else:
             my_start = my_prev - group_base[j]  # revised partial sum wait
-            yield from _sleep(my_start)
+            if my_start > 0:
+                yield Sleep(my_start)
             for e in mine:
                 yield CycleOp(write=chan, payload=Message("elem", *pack_elem(e)))
-            yield from _sleep(m_pad - my_start - len(mine))
+            if m_pad > my_start + len(mine):
+                yield Sleep(m_pad - my_start - len(mine))
 
         # ---- phases 1-9 among representatives --------------------------
         if is_rep:
             column = yield from columnsort_program(j, column, m_pad, k_used)
         else:
-            yield from _sleep(4 * m_pad)
+            yield Sleep(4 * m_pad)
 
         # ---- phase 10: double broadcast, everyone collects its segment -
         seg_start, seg_end = my_prev, my_incl
@@ -191,7 +190,8 @@ def sort_uneven(
                 nxt = min((u for u in plan if u > t), default=2 * m_pad)
                 if is_rep:
                     nxt = t + 1
-                yield from _sleep(nxt - t)
+                if nxt > t:
+                    yield Sleep(nxt - t)
                 t = nxt
                 continue
             got = yield CycleOp(

@@ -41,16 +41,11 @@ from ..mcb.message import Message
 from ..mcb.network import MCBNetwork
 from ..mcb.program import CycleOp, ProcContext, Sleep
 from .even_pk import SortResult
-from .common import neg_elem, pack_elem, unpack_elem
+from .common import neg_elem
 from .merge_sort import merge_sort_group
 from .rank_sort import rank_sort_group
 
 Sorter = Literal["rank", "merge"]
-
-
-def _sleep(t: int):
-    if t > 0:
-        yield Sleep(t)
 
 
 def virtual_transformation(
@@ -73,33 +68,35 @@ def virtual_transformation(
     elements; the count is preserved.  ``chan_base`` offsets the channel
     block (used when this runs inside a sub-network of a recursive call).
     """
-    sched = schedule_for_phase(phase_no, m, k)
-    # Cycles in which I act: my rows are [member*npp, (member+1)*npp).
+    steps = schedule_for_phase(phase_no, m, k).columns[col_idx]
+    # I act in the cycles that move one of my rows [lo, hi).
     lo, hi = member * npp, (member + 1) * npp
-    my_cycles = [
-        t
-        for t in range(m)
-        if lo <= sched.cycles[t][col_idx].src_row < hi
-    ]
+    wchan = chan_base + col_idx + 1
     out = list(mine)
     t_now = 0
-    for t in my_cycles:
-        yield from _sleep(t - t_now)
-        tr = sched.cycles[t][col_idx]
-        src = sched.reads[t][col_idx]
-        slot = tr.src_row - lo
-        if tr.dst_col == col_idx:
+    for t, (keep_src, _, send_row, read_chan, _) in enumerate(steps):
+        row = keep_src if keep_src >= 0 else send_row
+        if not lo <= row < hi:
+            continue
+        if t > t_now:
+            yield Sleep(t - t_now)
+        if keep_src >= 0:
             # Self-transfer: the element stays in my slot this phase.
-            yield from _sleep(1)
+            yield Sleep(1)
         else:
+            e = out[row - lo]
             got = yield CycleOp(
-                write=chan_base + col_idx + 1,
-                payload=Message("elem", *pack_elem(out[slot])),
-                read=chan_base + src + 1,
+                wchan,
+                Message("elem", *e) if isinstance(e, tuple)
+                else Message("elem", e),
+                chan_base + read_chan,
             )
-            out[slot] = unpack_elem(got.fields)  # stored over the one sent
+            f = got.fields
+            # stored over the one sent
+            out[row - lo] = f[0] if len(f) == 1 else tuple(f)
         t_now = t + 1
-    yield from _sleep(m - t_now)
+    if m > t_now:
+        yield Sleep(m - t_now)
     return out
 
 

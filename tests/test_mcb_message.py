@@ -1,6 +1,10 @@
 """Tests for messages, bit accounting and the EMPTY sentinel."""
 
+import enum
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.mcb import EMPTY, Message, log2ceil, scalar_bits
 
@@ -53,6 +57,40 @@ class TestBitAccounting:
 
     def test_negative_int(self):
         assert scalar_bits(-5) == scalar_bits(5)
+
+
+class _Int(int):
+    pass
+
+
+class _Flag(enum.IntEnum):
+    ON = 1 << 40
+
+
+#: Every scalar kind a field may hold, with the int edges weighted in:
+#: zero, negatives, the vector engine's ±2^62 exactness limit and
+#: values beyond int64.
+_FIELDS = st.one_of(
+    st.integers(),
+    st.sampled_from([0, -1, 1, 2**62 - 1, 2**62, -(2**62), 2**63, -(2**63),
+                     2**64 + 1, -(2**200)]),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+    st.integers().map(_Int),
+    st.just(_Flag.ON),
+)
+
+
+class TestBitSizeProperty:
+    @given(st.text(max_size=4), st.lists(_FIELDS, max_size=5))
+    def test_bit_size_is_kind_plus_scalar_bits(self, kind, fields):
+        msg = Message(kind, *fields)
+        want = 8 + sum(scalar_bits(f) for f in fields)
+        assert msg.bit_size() == want
+        assert msg.bit_size() == want  # the cached second call
 
 
 class TestEmpty:

@@ -126,6 +126,33 @@ class TestJobApi:
         assert not_found == 404
         assert bad_method == 405
 
+    def test_malformed_content_length_is_400(self):
+        async def send_head(port, length):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(
+                f"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode()
+            )
+            await writer.drain()
+            data = await reader.read()
+            writer.close()
+            head, _, body = data.partition(b"\r\n\r\n")
+            return int(head.split(b" ")[1]), json.loads(body)
+
+        async def scenario():
+            server = make_server()
+            await server.start()
+            answers = [
+                await send_head(server.port, length)
+                for length in ("-5", "+5", "1_0", "five", "")
+            ]
+            await server.stop(0)
+            return answers
+
+        for status, body in drive(scenario()):
+            assert status == 400
+            assert body["error"] == "malformed Content-Length"
+
     def test_backpressure_is_429_with_retry_after(self):
         async def scenario():
             server = make_server(workers=0, queue_size=1)
