@@ -48,9 +48,9 @@ DEFAULT_BEST_OF = 3
 #: Record fields that define a measured configuration.  Records are
 #: grouped on every one of these they carry, so two configurations that
 #: share ``(p, k)`` — network_backends' ``m=2`` and ``m=12`` — each keep
-#: their own baseline.  ``shards`` is left out on purpose: in
-#: BENCH_vector_engine it describes the ungated sharding-parity leg, not
-#: the measured one.
+#: their own baseline.  ``shards`` is left out on purpose: older
+#: BENCH_vector_engine records carry it for a since-removed ungated
+#: sharding leg, not for the measured one.
 CONFIG_FIELDS = (
     "p", "k", "m", "n", "batch", "lanes", "jobs", "queries", "window",
     "compute", "rank", "cycles", "gen_sample",

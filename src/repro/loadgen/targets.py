@@ -169,7 +169,7 @@ class InProcessTarget(Target):
     def _run_bench_identical(self, query: Query) -> QueryOutcome:
         spec = BenchSpec(
             query.algorithm, query.p, query.k, query.n, query.seed,
-            query.engine, 1, query.backend,
+            query.engine, query.backend,
         )
         if self.cache is not None:
             cached = self.cache.get(spec.key)

@@ -13,348 +13,69 @@ each processor owns one cell as its "output port", every transformation
 phase writes one element per processor per step — exactly the MCB(p, p)
 broadcast schedule with cells in place of channels.
 
-:class:`CREWMemory` implements the model: synchronous steps, each
-processor may write one cell and read one cell per step; concurrent
-reads allowed, two writers on one cell in one step violate exclusive
-write and abort.  Cells persist across steps (the one semantic
-difference from MCB channels — checked by tests).
+:class:`CREWMemory` is that model on the reference interpreter
+(:class:`~repro.mcb.reference.ReferenceMCBNetwork`, which defines the
+semantics of every channel model) with ``persistent=True`` and one
+channel per cell: synchronous steps, each processor may write one cell
+and read one cell per step; concurrent reads allowed, two writers on
+one cell in one step violate exclusive write and abort.  Cells persist
+across the steps of a phase — the one semantic difference from MCB
+channels, checked by tests.
 
 :func:`crew_columnsort` runs the §5.2 even-distribution Columnsort on a
 CREW memory of exactly ``p`` cells.  Because our broadcast schedules
 always read a channel in the same cycle it is written, the MCB programs
 are *already* correct under persistent-cell semantics; the adapter
 reuses them verbatim, which is itself the substance of the §9 remark.
-The engine reports the shared-memory high-water mark (= number of
-distinct cells written) so the "p cells suffice" claim is measured, not
-assumed.
+:attr:`CREWMemory.cells_used` reports the distinct cells written, so
+the "p cells suffice" claim is measured, not assumed.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
-from ..obs.events import (
-    CollisionDetected,
-    FastForward,
-    ListenParked,
-    ListenWoken,
-    MessageBroadcast,
-    PhaseEnded,
-    PhaseStarted,
-    ProcessorSlept,
-)
-from ..obs.hooks import ObservableMixin
-from .errors import CollisionError, ConfigurationError, ProtocolError
-from .message import EMPTY, Message
-from .program import CycleOp, Listen, ProcContext, Sleep
-from .trace import PhaseStats, RunStats
+from .errors import ConfigurationError
+from .program import ProcContext
+from .reference import ReferenceMCBNetwork
 
 
-class _CrewListenState:
-    """Per-pid desugaring state for one in-flight :class:`Listen`."""
-
-    __slots__ = ("cell", "window", "elapsed", "buf")
-
-    def __init__(self, cell: int, window: Optional[int]):
-        self.cell = cell
-        self.window = window  # None = until_nonempty
-        self.elapsed = 1
-        self.buf: list = []
-
-
-class CREWMemory(ObservableMixin):
+class CREWMemory(ReferenceMCBNetwork):
     """A CREW PRAM with ``cells`` shared memory cells.
 
     Programs are the same generators as for :class:`MCBNetwork` —
     ``CycleOp(write=cell, payload=..., read=cell)`` — but reads return
-    the *last value ever written* to the cell (or ``EMPTY`` if never
-    written): shared memory persists.
+    the *last value written* to the cell during the phase (or ``EMPTY``
+    if never written): shared memory persists.
 
-    :class:`Listen` desugars into those per-step reads, so under CREW
-    semantics a bounded listen on a cell that already holds a value
-    buffers that value on *every* step of the window (cells persist,
-    unlike memoryless channels), and ``until_nonempty`` completes on the
+    :class:`Listen` desugars into those per-step reads, so a bounded
+    listen on a cell that already holds a value buffers that value on
+    *every* step of the window, and ``until_nonempty`` completes on the
     first step in which the cell has ever been written.
 
-    The engine shares the :mod:`repro.obs` hooks of the MCB engines
-    (:meth:`attach_observer` / :meth:`detach_observer`); events report
-    ``k = cells`` and ``channel`` means *cell*.  ``readers`` of a
-    ``message`` event are the processors reading the cell in the step it
-    was written — later reads of the persisted value are not broadcasts.
+    Events report ``k = cells`` and ``channel`` means *cell*.
+    ``readers`` of a ``message`` event are the processors reading the
+    cell in the step it was written — later reads of the persisted value
+    are not broadcasts.
     """
 
+    persistent = True
+
     def __init__(self, p: int, cells: int, *, record_trace: bool = False):
+        super().__init__(p, cells, record_trace=record_trace)
+
+    def _validate_shape(self, p: int, cells: int) -> None:
+        # Unlike channels, cells may outnumber the processors.
         if p < 1 or cells < 1:
             raise ConfigurationError(f"invalid CREW shape p={p}, cells={cells}")
-        self.p = p
-        self.cells = cells
-        self.stats = RunStats()
-        self.cells_used: set[int] = set()
-        self._init_observability(record_trace=record_trace)
 
-    def reset_stats(self) -> None:
-        """Forget accumulated statistics/cells and detach every observer."""
-        self.stats = RunStats()
-        self.cells_used = set()
-        self._reset_observability()
+    @property
+    def cells(self) -> int:
+        """Number of shared memory cells (the interpreter's ``k``)."""
+        return self.k
 
-    def run(self, programs, *, phase: str = "crew", max_cycles: int = 10_000_000):
-        """Execute one synchronized stage; same contract as
-        :meth:`MCBNetwork.run` under CREW semantics."""
-        if not isinstance(programs, dict):
-            programs = {i + 1: fn for i, fn in enumerate(programs)}
-        contexts = {
-            pid: ProcContext(pid=pid, p=self.p, k=self.cells)
-            for pid in programs
-        }
-        gens = {pid: fn(contexts[pid]) for pid, fn in programs.items()}
-        inbox: dict[int, Any] = {pid: None for pid in gens}
-        wake = {pid: 0 for pid in gens}
-        results: dict[int, Any] = {pid: None for pid in gens}
-        memory: dict[int, Message] = {}
-        listening: dict[int, _CrewListenState] = {}
-        until_parked = 0
-        ph = PhaseStats(name=phase, k=self.cells)
-        dispatch = self._dispatch
-        if dispatch is not None:
-            dispatch.dispatch(PhaseStarted(phase=phase, p=self.p, k=self.cells))
-        step = 0
-        while gens:
-            if until_parked and until_parked == len(gens) and not any(
-                inbox[pid] is not None and inbox[pid] is not EMPTY
-                for pid in listening
-            ):
-                # Every live processor waits on a never-written cell: end
-                # the phase, closing the orphans (results stay None).  A
-                # listener whose synthesized read already found the cell
-                # written (cells persist!) is about to complete instead.
-                for pid in list(gens):
-                    gens.pop(pid).close()
-                break
-            acting = [pid for pid in gens if wake[pid] <= step]
-            if not acting:
-                # All-asleep skip: desugared listeners always act next
-                # step, so a jump means every live processor slept.  The
-                # skipped steps still elapse, as in the MCB engines.
-                target = min(wake[pid] for pid in gens)
-                ph.fast_forward_cycles += target - step
-                if dispatch is not None:
-                    dispatch.dispatch(
-                        FastForward(phase=phase, from_cycle=step, to_cycle=target)
-                    )
-                step = target
-                continue
-            if step >= max_cycles:
-                raise ProtocolError(f"exceeded max_cycles={max_cycles}")
-            writes: dict[int, tuple[int, Message]] = {}
-            reads: list[tuple[int, int]] = []
-            any_op = False
-            for pid in acting:
-                st = listening.get(pid)
-                if st is not None:
-                    # Desugared listen: fold last step's read, then either
-                    # synthesize this step's read or resume in bulk.
-                    got = inbox[pid]
-                    inbox[pid] = None
-                    off = st.elapsed - 1
-                    if st.window is None:
-                        if got is EMPTY or got is None:
-                            st.elapsed += 1
-                            wake[pid] = step + 1
-                            any_op = True
-                            reads.append((pid, st.cell))
-                            continue
-                        del listening[pid]
-                        until_parked -= 1
-                        inbox[pid] = (off, got)
-                        if dispatch is not None:
-                            dispatch.dispatch(
-                                ListenWoken(
-                                    phase=phase,
-                                    cycle=step,
-                                    pid=pid,
-                                    channel=st.cell,
-                                    heard=1,
-                                )
-                            )
-                    else:
-                        if got is not EMPTY and got is not None:
-                            st.buf.append((off, got))
-                        if st.elapsed < st.window:
-                            st.elapsed += 1
-                            wake[pid] = step + 1
-                            any_op = True
-                            reads.append((pid, st.cell))
-                            continue
-                        del listening[pid]
-                        inbox[pid] = st.buf
-                        if dispatch is not None:
-                            dispatch.dispatch(
-                                ListenWoken(
-                                    phase=phase,
-                                    cycle=step,
-                                    pid=pid,
-                                    channel=st.cell,
-                                    heard=len(st.buf),
-                                )
-                            )
-                try:
-                    op = gens[pid].send(inbox[pid])
-                except StopIteration as stop:
-                    results[pid] = stop.value
-                    del gens[pid]
-                    continue
-                finally:
-                    inbox[pid] = None
-                any_op = True
-                if isinstance(op, Sleep):
-                    w = max(1, op.cycles)
-                    wake[pid] = step + w
-                    if w > 1 and dispatch is not None:
-                        dispatch.dispatch(
-                            ProcessorSlept(
-                                phase=phase,
-                                cycle=step,
-                                pid=pid,
-                                until_cycle=step + w,
-                            )
-                        )
-                    continue
-                if isinstance(op, Listen):
-                    if not 1 <= op.channel <= self.cells:
-                        raise ProtocolError(
-                            f"P{pid}: cell {op.channel} outside 1..{self.cells}"
-                        )
-                    if op.until_nonempty:
-                        if op.cycles is not None:
-                            raise ProtocolError(
-                                f"P{pid} yielded Listen with both a cycle "
-                                f"count and until_nonempty=True; pick one"
-                            )
-                        window = None
-                        until_parked += 1
-                    else:
-                        if op.cycles is None:
-                            raise ProtocolError(
-                                f"P{pid} yielded Listen without a cycle count "
-                                f"(pass cycles or until_nonempty=True)"
-                            )
-                        if op.cycles < 0:
-                            raise ProtocolError(
-                                f"P{pid} requested a negative listen window "
-                                f"({op.cycles})"
-                            )
-                        window = max(1, op.cycles)
-                    listening[pid] = _CrewListenState(op.channel, window)
-                    wake[pid] = step + 1
-                    reads.append((pid, op.channel))
-                    if dispatch is not None:
-                        dispatch.dispatch(
-                            ListenParked(
-                                phase=phase,
-                                cycle=step,
-                                pid=pid,
-                                channel=op.channel,
-                                window=window,
-                            )
-                        )
-                    continue
-                if not isinstance(op, CycleOp):
-                    raise ProtocolError(f"P{pid} yielded {op!r}")
-                wake[pid] = step + 1
-                if op.write is not None:
-                    if not 1 <= op.write <= self.cells:
-                        raise ProtocolError(
-                            f"P{pid}: cell {op.write} outside 1..{self.cells}"
-                        )
-                    if not isinstance(op.payload, Message):
-                        raise ProtocolError(f"P{pid}: write without Message")
-                    if op.write in writes:
-                        if dispatch is not None:
-                            dispatch.dispatch(
-                                CollisionDetected(
-                                    phase=phase,
-                                    cycle=step,
-                                    channel=op.write,
-                                    writers=(writes[op.write][0], pid),
-                                    resolution="abort",
-                                )
-                            )
-                        # Keep the partial phase (exclusive-write abort):
-                        # costs up to this step stay queryable.
-                        ph.cycles = step
-                        ph.collisions += 1
-                        for cpid, ctx in contexts.items():
-                            ph.aux_peak[cpid] = ctx.aux_peak
-                        self.stats.add(ph)
-                        raise CollisionError(
-                            step, op.write, [writes[op.write][0], pid]
-                        )
-                    writes[op.write] = (pid, op.payload)
-                if op.read is not None:
-                    if not 1 <= op.read <= self.cells:
-                        raise ProtocolError(
-                            f"P{pid}: cell {op.read} outside 1..{self.cells}"
-                        )
-                    reads.append((pid, op.read))
-            # exclusive write: commit, then deliver concurrent reads.
-            # (Reads see the value as of the END of the step, matching the
-            # MCB same-cycle visibility the algorithms assume.)
-            for cell, (pid, msg) in writes.items():
-                memory[cell] = msg
-                self.cells_used.add(cell)
-                ph.messages += 1
-                ph.bits += msg.bit_size()
-                ph.channel_writes[cell] = ph.channel_writes.get(cell, 0) + 1
-            readers_by_cell: Optional[dict[int, list[int]]] = (
-                {} if dispatch is not None and writes else None
-            )
-            for pid, cell in reads:
-                if pid in gens:
-                    inbox[pid] = memory.get(cell, EMPTY)
-                    if readers_by_cell is not None and cell in writes:
-                        readers_by_cell.setdefault(cell, []).append(pid)
-            if dispatch is not None:
-                for cell, (wpid, msg) in writes.items():
-                    dispatch.dispatch(
-                        MessageBroadcast(
-                            phase=phase,
-                            cycle=step,
-                            channel=cell,
-                            writer=wpid,
-                            readers=tuple(
-                                readers_by_cell.get(cell, ())
-                                if readers_by_cell is not None
-                                else ()
-                            ),
-                            msg_kind=msg.kind,
-                            fields=msg.fields,
-                            bits=msg.bit_size(),
-                        )
-                    )
-            if any_op:
-                step += 1
-        ph.cycles = step
-        for pid, ctx in contexts.items():
-            ph.aux_peak[pid] = ctx.aux_peak
-        self.stats.add(ph)
-        if dispatch is not None:
-            dispatch.dispatch(
-                PhaseEnded(
-                    phase=phase,
-                    p=self.p,
-                    k=self.cells,
-                    cycles=ph.cycles,
-                    messages=ph.messages,
-                    bits=ph.bits,
-                    channel_writes=dict(ph.channel_writes),
-                    max_aux_peak=ph.max_aux_peak,
-                    fast_forward_cycles=ph.fast_forward_cycles,
-                    collisions=ph.collisions,
-                    utilization=ph.channel_utilization(),
-                )
-            )
-        return results
+    @property
+    def cells_used(self) -> set[int]:
+        """Distinct cells written since the last :meth:`reset_stats`."""
+        return {c for ph in self.stats.phases for c in ph.channel_writes}
 
 
 def crew_columnsort(

@@ -1,59 +1,51 @@
-"""The pre-optimization MCB engine, kept verbatim as a correctness oracle.
+"""The reference interpreter for every MCB channel model, and the seed engine.
 
-When the hot path of :class:`~repro.mcb.network.MCBNetwork` was rewritten
-for throughput (slot-indexed arenas, a heap-based wake queue, hoisted
-validation — see ``docs/MODEL.md`` § "Engine performance"), the original
-straightforward implementation was moved here **unchanged**.  It is not
-exported from :mod:`repro.mcb` and is not meant for production use; it
-exists so that
+:class:`ReferenceMCBNetwork` defines the semantics of every channel
+model in the repo by one straightforward per-cycle loop.  Three class
+attributes select the model:
 
-* the equivalence test battery (``tests/test_engine_equivalence.py``)
-  can prove the fast engine produces bit-identical ``RunStats`` (cycles,
-  messages, bits, channel_writes, aux_peak, fast_forward_cycles) and
-  per-processor results on the sort / select / bounds suites, and
-* the hot-path microbenchmark (``benchmarks/bench_engine_hotpath.py``)
-  can report the speedup against the exact pre-change code.
+* ``write_policy`` — ``"exclusive"`` (the paper's model: a collision
+  aborts the phase), ``"detect"`` (concurrent writers deliver the
+  :data:`COLLISION` marker) or ``"priority"`` (the lowest pid wins);
+* ``read_policy`` — ``"single"`` (one channel per cycle) or ``"all"``
+  (an :class:`ExtOp` may read ``"all"`` or a tuple of channels);
+* ``persistent`` — ``False`` for memoryless channels, ``True`` for CREW
+  cells that keep the last value written.
 
-Two deliberate behavioural additions are mirrored from the fast engine
-so the two engines stay comparable:
+The defaults are the paper's model.  The §9 models are thin subclasses
+that only set these attributes:
+:class:`~repro.mcb.extensions.ExtendedNetwork` (the two policies) and
+:class:`~repro.mcb.crew.CREWMemory` (``persistent``, ``k = cells``).
 
-* the partial-:class:`PhaseStats` record on :class:`CollisionError` (the
-  aborted phase is recorded with ``collisions=1`` before the exception
-  propagates), for adversary workloads;
-* :class:`~repro.mcb.program.Listen` support, implemented here by
-  *desugaring* into per-cycle ``CycleOp(read=...)`` — the engine
-  synthesizes one read per cycle of the window without resuming the
-  generator, then resumes it once with the bulk result.  This is the
-  semantic definition of ``Listen``; the fast engine's parked wait-lists
-  must match it bit for bit (cycles, messages, fast-forward accounting,
-  and observer event streams).
+Each cycle runs in one order: collect the ops of every acting processor
+(:class:`~repro.mcb.program.Listen` desugars into per-cycle reads),
+validate each op, resolve each written channel by ``write_policy``,
+commit the writes to memory if ``persistent``, deliver the reads, and
+emit one ``MessageBroadcast`` per delivered channel.  The paper's model
+itself runs in production on :class:`~repro.mcb.network.MCBNetwork`,
+the one optimized engine; the equivalence battery
+(``tests/test_engine_equivalence.py``) proves it bit-identical to this
+interpreter — results, ``RunStats`` and observer event streams.
+
+:class:`SeedMCBNetwork` is the frozen perf baseline of
+``benchmarks/bench_engine_hotpath.py``: the pre-optimization loop of the
+paper's model, kept verbatim and bound to verbatim copies of the
+seed-era protocol classes (:class:`SeedCycleOp`, :class:`SeedSleep`,
+:class:`SeedMessage`), so the hot-path speedup is measured against the
+real past rather than a moving target.  Never edit its loop.
 
 :func:`run_simulated_reference` likewise preserves the original
 O(v²·s·|ops|) linear-scan scheduling of :func:`repro.mcb.simulate.run_simulated`
 before the per-virtual-cycle lookup tables were introduced.
-
-Two bindings of the reference engine exist because the shared protocol
-classes (:class:`CycleOp`, :class:`Sleep`, :class:`Message`) were
-*themselves* part of the optimization (``__slots__``, cached
-``bit_size``), so the loop alone does not reproduce the pre-change
-throughput:
-
-* :class:`ReferenceMCBNetwork` — the old loop bound to the **current**
-  protocol classes.  This is the equivalence oracle: it runs the very
-  same programs as the fast engine.
-* :class:`SeedMCBNetwork` — the old loop bound to verbatim copies of
-  the **seed-era** protocol classes (:class:`SeedCycleOp`,
-  :class:`SeedSleep`, :class:`SeedMessage`).  This is the perf
-  baseline: driving it with seed-class ops reproduces the pre-change
-  hot path end to end, so the hot-path microbenchmark's speedup factor
-  is measured against the real past, not a moving target.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from numbers import Integral
+from operator import itemgetter
+from typing import Any, Optional, Sequence, Union
 
 from ..obs.events import (
     CollisionDetected,
@@ -123,18 +115,61 @@ class SeedMessage:
         return 8 + sum(scalar_bits(f) for f in self.fields)
 
 
+# ---------------------------------------------------------------------------
+# The §9 vocabulary: multi-channel reads and the garbled-channel marker
+# ---------------------------------------------------------------------------
+
+class _Collision:
+    """Marker delivered to readers of a channel with concurrent writers
+    under the ``"detect"`` policy (the channel is garbled but audibly
+    non-empty — ternary feedback)."""
+
+    _instance: "_Collision | None" = None
+
+    def __new__(cls) -> "_Collision":
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:  # pragma: no cover - trivial
+        return "COLLISION"
+
+    def __bool__(self) -> bool:
+        return True  # audibly non-empty
+
+
+COLLISION = _Collision()
+
+
+@dataclass(frozen=True)
+class ExtOp:
+    """One cycle's action in the extended model.
+
+    ``read`` may be a single 1-based channel, a tuple of channels, or
+    ``"all"``; multi-channel reads (only with ``read_policy="all"``)
+    deliver a dict ``channel -> Message | EMPTY | COLLISION``.
+    """
+
+    write: Optional[int] = None
+    payload: Optional[Message] = None
+    read: Union[int, tuple, str, None] = None
+
+
 class ReferenceMCBNetwork(ObservableMixin):
-    """The original per-cycle dict-scan MCB(p, k) engine (oracle only).
+    """The per-cycle dict-scan interpreter of every channel model.
 
     The protocol classes the loop validates against are class attributes
-    so :class:`SeedMCBNetwork` can rebind them to the seed-era copies;
-    this binding indirection is the only deviation from the original
-    source.
+    so :class:`SeedMCBNetwork` can rebind them to the seed-era copies.
     """
 
     _CycleOp: type = CycleOp
     _Sleep: type = Sleep
     _Message: type = Message
+
+    #: Channel semantics (see the module docstring); defaults = the paper.
+    write_policy: str = "exclusive"
+    read_policy: str = "single"
+    persistent: bool = False
 
     def __init__(
         self,
@@ -144,14 +179,7 @@ class ReferenceMCBNetwork(ObservableMixin):
         max_message_fields: int = 8,
         record_trace: bool = False,
     ):
-        if p < 1:
-            raise ConfigurationError(f"need at least one processor, got p={p}")
-        if k < 1:
-            raise ConfigurationError(f"need at least one channel, got k={k}")
-        if k > p:
-            raise ConfigurationError(
-                f"the model requires k <= p, got p={p}, k={k}"
-            )
+        self._validate_shape(p, k)
         self.p = p
         self.k = k
         self.max_message_fields = max_message_fields
@@ -165,6 +193,405 @@ class ReferenceMCBNetwork(ObservableMixin):
         self._reset_observability()
 
     # ------------------------------------------------------------------
+    def run(
+        self,
+        programs: dict[int, ProgramFn] | Sequence[ProgramFn],
+        *,
+        phase: str = "phase",
+        data: Optional[dict[int, Any]] = None,
+        max_cycles: int = 50_000_000,
+    ) -> dict[int, Any]:
+        """Execute one synchronized stage under this network's model."""
+        if not isinstance(programs, dict):
+            if len(programs) != self.p:
+                raise ConfigurationError(
+                    f"expected {self.p} programs, got {len(programs)}"
+                )
+            programs = {i + 1: fn for i, fn in enumerate(programs)}
+        for pid in programs:
+            if not 1 <= pid <= self.p:
+                raise ConfigurationError(
+                    f"program assigned to nonexistent processor P{pid}"
+                )
+
+        contexts = {
+            pid: ProcContext(
+                pid=pid,
+                p=self.p,
+                k=self.k,
+                data=None if data is None else data.get(pid),
+            )
+            for pid in programs
+        }
+        gens = {pid: fn(contexts[pid]) for pid, fn in programs.items()}
+        results: dict[int, Any] = dict.fromkeys(programs)
+        inbox: dict[int, Any] = dict.fromkeys(programs)
+        wake: dict[int, int] = dict.fromkeys(programs, 0)
+        listening: dict[int, _RefListenState] = {}
+        until_parked = 0
+        memory: dict[int, Any] = {}  # persistent cells: last value written
+
+        ph = PhaseStats(name=phase, k=self.k)
+        dispatch = self._dispatch
+        if dispatch is not None:
+            dispatch.dispatch(PhaseStarted(phase=phase, p=self.p, k=self.k))
+        Sleep_ = self._Sleep
+        op_types = (self._CycleOp, ExtOp)
+        cycle = 0
+        while gens:
+            if until_parked and until_parked == len(gens) and not any(
+                inbox[pid] is not None and inbox[pid] is not EMPTY
+                for pid in listening
+            ):
+                # Every still-live processor waits for a broadcast that can
+                # never come: end the phase, closing the orphaned listeners
+                # (their results stay None).  A listener whose last
+                # synthesized read already delivered something (a message,
+                # a COLLISION marker, a persisted cell) is about to
+                # complete — and may write — so it is not orphaned.
+                for pid in list(gens):
+                    gens.pop(pid).close()
+                break
+            acting = [pid for pid in gens if wake[pid] <= cycle]
+            if not acting:
+                target = min(wake[pid] for pid in gens)
+                ph.fast_forward_cycles += target - cycle
+                if dispatch is not None:
+                    dispatch.dispatch(
+                        FastForward(
+                            phase=phase, from_cycle=cycle, to_cycle=target
+                        )
+                    )
+                cycle = target
+                continue
+            if cycle >= max_cycles:
+                raise ProtocolError(
+                    f"stage '{phase}' exceeded max_cycles={max_cycles}"
+                )
+
+            # --- 1-2. collect and validate every acting processor's op ---
+            writes: dict[int, list[tuple[int, Any]]] = {}  # ch -> writers
+            collided: list[int] = []  # channels, in order of 2nd writer
+            reads: list[tuple[int, Any]] = []  # (pid, channel or tuple)
+            any_op = False
+            for pid in acting:
+                st = listening.get(pid)
+                if st is not None:
+                    # In-flight Listen: fold the read delivered last cycle,
+                    # then either synthesize this cycle's read (without
+                    # resuming the generator) or complete the listen and
+                    # resume with the bulk result.
+                    got = inbox[pid]
+                    inbox[pid] = None
+                    off = st.elapsed - 1
+                    if st.window is None:
+                        if got is EMPTY or got is None:
+                            st.elapsed += 1
+                            wake[pid] = cycle + 1
+                            any_op = True
+                            reads.append((pid, st.channel))
+                            continue
+                        del listening[pid]
+                        until_parked -= 1
+                        inbox[pid] = (off, got)
+                        if dispatch is not None:
+                            dispatch.dispatch(
+                                ListenWoken(
+                                    phase=phase,
+                                    cycle=cycle,
+                                    pid=pid,
+                                    channel=st.channel,
+                                    heard=1,
+                                )
+                            )
+                    else:
+                        if got is not EMPTY and got is not None:
+                            st.buf.append((off, got))
+                        if st.elapsed < st.window:
+                            st.elapsed += 1
+                            wake[pid] = cycle + 1
+                            any_op = True
+                            reads.append((pid, st.channel))
+                            continue
+                        del listening[pid]
+                        inbox[pid] = st.buf
+                        if dispatch is not None:
+                            dispatch.dispatch(
+                                ListenWoken(
+                                    phase=phase,
+                                    cycle=cycle,
+                                    pid=pid,
+                                    channel=st.channel,
+                                    heard=len(st.buf),
+                                )
+                            )
+                try:
+                    op = gens[pid].send(inbox[pid])
+                except StopIteration as stop:
+                    results[pid] = stop.value
+                    del gens[pid]
+                    continue
+                finally:
+                    inbox[pid] = None
+                any_op = True
+                if isinstance(op, Sleep_):
+                    if op.cycles < 0:
+                        raise ProtocolError(
+                            f"P{pid} requested a negative sleep ({op.cycles})"
+                        )
+                    w = max(1, op.cycles)
+                    wake[pid] = cycle + w
+                    if w > 1 and dispatch is not None:
+                        dispatch.dispatch(
+                            ProcessorSlept(
+                                phase=phase,
+                                cycle=cycle,
+                                pid=pid,
+                                until_cycle=cycle + w,
+                            )
+                        )
+                    continue
+                if isinstance(op, Listen):
+                    window = self._validate_listen(pid, op)
+                    listening[pid] = _RefListenState(op.channel, window)
+                    if window is None:
+                        until_parked += 1
+                    wake[pid] = cycle + 1
+                    reads.append((pid, op.channel))
+                    if dispatch is not None:
+                        dispatch.dispatch(
+                            ListenParked(
+                                phase=phase,
+                                cycle=cycle,
+                                pid=pid,
+                                channel=op.channel,
+                                window=window,
+                            )
+                        )
+                    continue
+                if not isinstance(op, op_types):
+                    raise ProtocolError(
+                        f"P{pid} yielded {op!r}; expected "
+                        f"CycleOp, ExtOp, Sleep, or Listen"
+                    )
+                wake[pid] = cycle + 1
+                if op.write is not None:
+                    self._validate_write(pid, op, cycle)
+                    writers = writes.setdefault(op.write, [])
+                    if len(writers) == 1:
+                        collided.append(op.write)
+                    writers.append((pid, op.payload))
+                elif op.payload is not None:
+                    raise ProtocolError(
+                        f"P{pid} attached a payload without a write channel"
+                    )
+                if op.read is not None:
+                    reads.append((pid, self._validate_read(pid, op.read)))
+
+            # --- 3. resolve each written channel by write_policy ----------
+            if collided and self.write_policy == "exclusive":
+                channel = collided[0]
+                pids = [pid for pid, _ in writes[channel]]
+                if dispatch is not None:
+                    dispatch.dispatch(
+                        CollisionDetected(
+                            phase=phase,
+                            cycle=cycle,
+                            channel=channel,
+                            writers=tuple(pids),
+                            resolution="abort",
+                        )
+                    )
+                # Record the partial phase (costs of the completed cycles)
+                # so adversary experiments keep their data.
+                ph.cycles = cycle
+                ph.collisions = 1
+                for pid, ctx in contexts.items():
+                    ph.aux_peak[pid] = ctx.aux_peak
+                self.stats.add(ph)
+                raise CollisionError(cycle, channel, pids)
+            content: dict[int, Any] = {}
+            delivered: dict[int, tuple[int, Any]] = {}  # ch -> (writer, msg)
+            for ch, writers in writes.items():
+                # Every write is charged, garbled or not.
+                ph.messages += len(writers)
+                ph.bits += sum(msg.bit_size() for _, msg in writers)
+                ph.channel_writes[ch] = ph.channel_writes.get(ch, 0) + len(writers)
+                if len(writers) > 1:
+                    ph.collisions += 1
+                    garbled = self.write_policy == "detect"
+                    if dispatch is not None:
+                        dispatch.dispatch(
+                            CollisionDetected(
+                                phase=phase,
+                                cycle=cycle,
+                                channel=ch,
+                                writers=tuple(pid for pid, _ in writers),
+                                resolution="garbled" if garbled else "priority",
+                            )
+                        )
+                    if garbled:
+                        content[ch] = COLLISION
+                        continue
+                # A lone writer, or the lowest pid under "priority".
+                writer, msg = min(writers, key=itemgetter(0))
+                content[ch] = msg
+                delivered[ch] = (writer, msg)
+
+            # --- 4. commit to memory (CREW cells outlive the cycle) -------
+            if self.persistent:
+                memory.update(content)
+                content = memory
+
+            # --- 5. deliver reads -----------------------------------------
+            readers_by_channel: dict[int, list[int]] = {}
+            for pid, want in reads:
+                if pid not in gens:  # the generator may have just finished
+                    continue
+                if type(want) is tuple:
+                    inbox[pid] = {ch: content.get(ch, EMPTY) for ch in want}
+                    for ch in want:
+                        readers_by_channel.setdefault(ch, []).append(pid)
+                else:
+                    inbox[pid] = content.get(want, EMPTY)
+                    readers_by_channel.setdefault(want, []).append(pid)
+
+            # --- 6. one MessageBroadcast per delivered channel ------------
+            if dispatch is not None:
+                for ch, (writer, msg) in delivered.items():
+                    dispatch.dispatch(
+                        MessageBroadcast(
+                            phase=phase,
+                            cycle=cycle,
+                            channel=ch,
+                            writer=writer,
+                            readers=tuple(readers_by_channel.get(ch, ())),
+                            msg_kind=msg.kind,
+                            fields=msg.fields,
+                            bits=msg.bit_size(),
+                        )
+                    )
+            if any_op:
+                cycle += 1
+
+        ph.cycles = cycle
+        for pid, ctx in contexts.items():
+            ph.aux_peak[pid] = ctx.aux_peak
+        self.stats.add(ph)
+        if dispatch is not None:
+            dispatch.dispatch(
+                PhaseEnded(
+                    phase=phase,
+                    p=self.p,
+                    k=self.k,
+                    cycles=ph.cycles,
+                    messages=ph.messages,
+                    bits=ph.bits,
+                    channel_writes=dict(ph.channel_writes),
+                    max_aux_peak=ph.max_aux_peak,
+                    fast_forward_cycles=ph.fast_forward_cycles,
+                    collisions=ph.collisions,
+                    utilization=ph.channel_utilization(),
+                )
+            )
+        return results
+
+    # ------------------------------------------------------------------
+    def _validate_shape(self, p: int, k: int) -> None:
+        if p < 1:
+            raise ConfigurationError(f"need at least one processor, got p={p}")
+        if k < 1:
+            raise ConfigurationError(f"need at least one channel, got k={k}")
+        if k > p:
+            raise ConfigurationError(
+                f"the model requires k <= p, got p={p}, k={k}"
+            )
+
+    # ------------------------------------------------------------------
+    def _validate_listen(self, pid: int, op: Listen) -> Optional[int]:
+        """Check a Listen op; return its window (None = until_nonempty)."""
+        if not 1 <= op.channel <= self.k:
+            raise ProtocolError(
+                f"P{pid} listens on invalid channel C{op.channel} (k={self.k})"
+            )
+        if op.until_nonempty:
+            if op.cycles is not None:
+                raise ProtocolError(
+                    f"P{pid} yielded Listen with both a cycle count and "
+                    f"until_nonempty=True; pick one"
+                )
+            return None
+        if op.cycles is None:
+            raise ProtocolError(
+                f"P{pid} yielded Listen without a cycle count "
+                f"(pass cycles or until_nonempty=True)"
+            )
+        if op.cycles < 0:
+            raise ProtocolError(
+                f"P{pid} requested a negative listen window ({op.cycles})"
+            )
+        return max(1, op.cycles)
+
+    # ------------------------------------------------------------------
+    def _validate_write(self, pid: int, op: Any, cycle: int) -> None:
+        if not 1 <= op.write <= self.k:
+            raise ProtocolError(
+                f"P{pid} wrote invalid channel C{op.write} (k={self.k}) "
+                f"at cycle {cycle}"
+            )
+        if not isinstance(op.payload, self._Message):
+            raise ProtocolError(
+                f"P{pid} wrote channel C{op.write} without a Message payload"
+            )
+        if len(op.payload.fields) > self.max_message_fields:
+            raise MessageSizeError(
+                f"P{pid} sent a {len(op.payload.fields)}-field message; "
+                f"limit is {self.max_message_fields} (O(log beta) bits)"
+            )
+
+    def _validate_read(self, pid: int, want: Any) -> Any:
+        """Check a read; return its channel, or a tuple for a multi-read."""
+        if isinstance(want, Integral):
+            if not 1 <= want <= self.k:
+                raise ProtocolError(
+                    f"P{pid} read invalid channel C{want} (k={self.k})"
+                )
+            return want
+        if self.read_policy != "all":
+            raise ProtocolError(
+                f"P{pid} read {want!r}: multi-channel reads require "
+                f"read_policy='all'"
+            )
+        if want == "all":
+            return tuple(range(1, self.k + 1))
+        if isinstance(want, tuple) and all(
+            isinstance(ch, Integral) and 1 <= ch <= self.k for ch in want
+        ):
+            return want
+        raise ProtocolError(
+            f"P{pid} read {want!r}: a multi-channel read is 'all' or a "
+            f"tuple of channels in 1..{self.k}"
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"{type(self).__name__}(p={self.p}, k={self.k})"
+
+
+class SeedMCBNetwork(ReferenceMCBNetwork):
+    """The pre-optimization loop bound to the seed-era protocol classes.
+
+    Programs driving it must yield :class:`SeedCycleOp` / :class:`SeedSleep`
+    with :class:`SeedMessage` payloads — exactly what the seed tree's
+    algorithms did — so throughput measured here is the true pre-change
+    baseline for ``benchmarks/bench_engine_hotpath.py``.  Its
+    :meth:`run` is frozen verbatim (it models only the paper's exclusive,
+    single-read channels); it shares the ``_validate_*`` helpers.
+    """
+
+    _CycleOp = SeedCycleOp
+    _Sleep = SeedSleep
+    _Message = SeedMessage
+
     def run(
         self,
         programs: dict[int, ProgramFn] | Sequence[ProgramFn],
@@ -439,64 +866,6 @@ class ReferenceMCBNetwork(ObservableMixin):
             )
         return results
 
-    # ------------------------------------------------------------------
-    def _validate_listen(self, pid: int, op: Listen) -> Optional[int]:
-        """Check a Listen op; return its window (None = until_nonempty)."""
-        if not 1 <= op.channel <= self.k:
-            raise ProtocolError(
-                f"P{pid} listens on invalid channel C{op.channel} (k={self.k})"
-            )
-        if op.until_nonempty:
-            if op.cycles is not None:
-                raise ProtocolError(
-                    f"P{pid} yielded Listen with both a cycle count and "
-                    f"until_nonempty=True; pick one"
-                )
-            return None
-        if op.cycles is None:
-            raise ProtocolError(
-                f"P{pid} yielded Listen without a cycle count "
-                f"(pass cycles or until_nonempty=True)"
-            )
-        if op.cycles < 0:
-            raise ProtocolError(
-                f"P{pid} requested a negative listen window ({op.cycles})"
-            )
-        return max(1, op.cycles)
-
-    # ------------------------------------------------------------------
-    def _validate_write(self, pid: int, op: Any, cycle: int) -> None:
-        if not 1 <= op.write <= self.k:
-            raise ProtocolError(
-                f"P{pid} wrote invalid channel C{op.write} (k={self.k}) "
-                f"at cycle {cycle}"
-            )
-        if not isinstance(op.payload, self._Message):
-            raise ProtocolError(
-                f"P{pid} wrote channel C{op.write} without a Message payload"
-            )
-        if len(op.payload.fields) > self.max_message_fields:
-            raise MessageSizeError(
-                f"P{pid} sent a {len(op.payload.fields)}-field message; "
-                f"limit is {self.max_message_fields} (O(log beta) bits)"
-            )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(p={self.p}, k={self.k})"
-
-
-class SeedMCBNetwork(ReferenceMCBNetwork):
-    """The reference loop bound to the seed-era protocol classes.
-
-    Programs driving it must yield :class:`SeedCycleOp` / :class:`SeedSleep`
-    with :class:`SeedMessage` payloads — exactly what the seed tree's
-    algorithms did — so throughput measured here is the true pre-change
-    baseline for ``benchmarks/bench_engine_hotpath.py``.
-    """
-
-    _CycleOp = SeedCycleOp
-    _Sleep = SeedSleep
-    _Message = SeedMessage
 
 
 # ---------------------------------------------------------------------------

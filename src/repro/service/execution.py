@@ -11,8 +11,7 @@ to the configured executor:
   entries).
 * :func:`run_batch_lanes` — the uncached lanes of one vector batch job,
   executed through :func:`repro.sort.vector.sort_even_pk_batch` as a
-  single columnar pass (optionally sharded across cores via shared
-  memory when the spec carries ``shards != 1``); returns one
+  single columnar pass; returns one
   ``run_config``-shaped payload per lane so batch lanes and solo runs
   share the result cache.
 * :func:`prewarm_worker` — a process-pool *initializer* that compiles
@@ -64,8 +63,7 @@ def run_batch_lanes(
     ]
     start = time.perf_counter()
     batch = sort_even_pk_batch(
-        spec.k, lanes, phase="sort", shards=spec.shards,
-        backend=spec.backend,
+        spec.k, lanes, phase="sort", backend=spec.backend,
     )
     wall = (time.perf_counter() - start) / max(1, len(seeds))
     payloads = []

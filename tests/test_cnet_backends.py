@@ -14,7 +14,7 @@ Layers covered:
 * The columnsort extraction — the IR's ``columnsort`` network runs the
   identical plans as :func:`repro.sort.vector.sort_even_pk_vector`.
 * Executor features — fused execution and write masks on cnet plans,
-  the batch axis, shared-memory sharding.
+  the batch axis.
 * The cost model — closed forms equal static plan stats; the tuner
   returns an available backend everywhere; overlay predictions match.
 * Service admission — ``backend`` in JobSpec with 400-style rejection,
@@ -324,7 +324,7 @@ def test_cnet_plan_runs_fused_and_masked():
     assert network.slot_factor == 2
 
 
-def test_batch_and_sharded_cnet_match_solo_runs():
+def test_batch_cnet_matches_solo_runs():
     k, m, lanes = 4, 3, 6
     batches = [make_columns(k, m, seed=50 + b) for b in range(lanes)]
     batch = sort_even_pk_batch(k, batches, backend="batcher", phase="sort")
@@ -335,12 +335,6 @@ def test_batch_and_sharded_cnet_match_solo_runs():
         assert batch.results[b].output == solo.output, b
         solo_stats.append(net.stats.to_dict())
         assert batch.stats[b].to_dict() == solo_stats[b], b
-    sharded = sort_even_pk_batch(
-        k, batches, backend="batcher", phase="sort", shards=2
-    )
-    for b in range(lanes):
-        assert sharded.results[b].output == batch.results[b].output, b
-        assert sharded.stats[b].to_dict() == batch.stats[b].to_dict(), b
 
 
 def test_batch_rejects_columnsort_knobs_on_cnet_backend():
@@ -621,7 +615,7 @@ class TestServiceBackendAdmission:
         from repro.service.execution import run_batch_lanes
 
         payloads = run_batch_lanes(
-            ("sort", 4, 4, 8, 0, "vector", 1, "batcher"), [0, 1]
+            ("sort", 4, 4, 8, 0, "vector", "batcher"), [0, 1]
         )
         assert len(payloads) == 2
         for payload in payloads:

@@ -26,6 +26,7 @@ from repro.mcb import (
     ProtocolError,
     Sleep,
 )
+from repro.mcb.extensions import ExtendedNetwork
 from repro.mcb.reference import ReferenceMCBNetwork, run_simulated_reference
 from repro.mcb.simulate import run_simulated
 from repro.obs.profile import Profiler
@@ -62,6 +63,13 @@ class TestSortSuite:
         out_fast, out_ref = run_both(p, k, drive)
         assert out_fast.output == out_ref.output
         assert is_sorted_output(d, out_fast.output)
+        # §9's extended model at its default (exclusive, single-read)
+        # policies is the paper's model: same outputs, stats and events.
+        fast = MCBNetwork(p=p, k=k, record_trace=True)
+        ext = ExtendedNetwork(p=p, k=k, record_trace=True)
+        assert drive(ext).output == drive(fast).output
+        assert ext.stats.to_dict() == fast.stats.to_dict()
+        assert ext.events == fast.events
 
     def test_uneven_sort_identical(self):
         d = Distribution.uneven(120, 6, seed=3, skew=1.5)

@@ -126,6 +126,22 @@ class TestJobApi:
         assert not_found == 404
         assert bad_method == 405
 
+    def test_removed_shards_field_is_unknown_400(self, tmp_path):
+        # ``shards`` is no longer a spec field: a client that still sends
+        # it must hear so, not have it silently ignored.
+        async def scenario():
+            server = make_server(tmp_path)
+            await server.start()
+            status, _, body = await request(
+                server.port, "POST", "/jobs", {**SORT_BODY, "shards": 2}
+            )
+            await server.stop(0)
+            return status, body
+
+        status, body = drive(scenario())
+        assert status == 400
+        assert "unknown job spec field(s) ['shards']" in body["error"]
+
     def test_malformed_content_length_is_400(self):
         async def send_head(port, length):
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
