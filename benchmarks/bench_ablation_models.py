@@ -39,7 +39,7 @@ def test_e15_extrema_separation(benchmark, emit):
         assert res[1] == max(vals.values())
 
         net_tree, tres = find_max_exclusive(
-            lambda p=p: MCBNetwork(p=p, k=1), vals, 1
+            lambda p=p: MCBNetwork(p=p, k=1), vals
         )
         assert tres[1] == max(vals.values())
 

@@ -13,10 +13,19 @@ gated:
 * ``batch`` — aggregate sort throughput (instances/second): the vector
   engine sorts ``B = 64`` independent instances as one ``(k, m, B)``
   pass (warmed, best of three — sub-second walls are noisy), compared
-  against full generator ``sort_even_pk`` runs (sampled at
-  ``GEN_SAMPLE`` instances — one generator instance costs ~1s at
-  this size, so timing all 64 would only slow the suite without
-  changing the per-instance rate).  Required: **>= 40x**.
+  against a *frozen* generator reference: the seed-era §5.2 program
+  (:func:`seed_columnsort_programs`, kept verbatim in this file) on
+  :class:`~repro.mcb.reference.SeedMCBNetwork`, sampled at
+  ``GEN_SAMPLE`` instances — one instance costs ~0.5-0.7s at this
+  size, so timing all 64 would only slow the suite without changing
+  the per-instance rate.  Like ``bench_engine_hotpath.py``'s seed leg,
+  the reference never gets faster, so the gate tracks the vector
+  batch alone.  Required: **>= 50x** (0.70 of the 71x median measured
+  when the gate was re-anchored — the 40x/57x margin of the original
+  gate against the then-current generator engine).  The ratio against
+  today's generator ``sort_even_pk`` is still recorded
+  (``speedup.batch``), ungated: it moves whenever the generator engine
+  improves.
 
 The speedup is not allowed to buy accounting drift: both legs assert
 bit-identical outputs and identical per-phase stats between engines,
@@ -55,13 +64,19 @@ import numpy as np
 
 from repro.columnsort.schedule import clear_schedule_caches, schedule_for_phase
 from repro.mcb import MCBNetwork
-from repro.mcb.reference import ReferenceMCBNetwork
+from repro.mcb.cnet import columnsort_network
+from repro.mcb.reference import (
+    ReferenceMCBNetwork,
+    SeedCycleOp,
+    SeedMCBNetwork,
+    SeedMessage,
+)
 from repro.mcb.trace import RunStats
 from repro.mcb.vector import VectorRun, build_state, fuse_phases
-from repro.mcb.vector.cache import _ARRAY_FIELDS
+from repro.mcb.vector.cache import _ARRAY_FIELDS, plan_registry
 from repro.sort import sort_even_pk, sort_even_pk_batch
+from repro.sort.cnet_sort import compiled_cnet_phases
 from repro.sort.even_pk import transformation_phase
-from repro.sort.vector import compiled_columnsort_phases
 
 RESULTS = Path(__file__).resolve().parent / "results"
 
@@ -72,7 +87,8 @@ B = 64
 GEN_SAMPLE = 4
 TRANSFORM_PHASES = (2, 4, 6, 8)
 REQUIRED_TRANSFORM_SPEEDUP = 5.0
-REQUIRED_BATCH_SPEEDUP = 40.0
+#: B=64 vector batch vs the frozen seed-era generator reference.
+REQUIRED_BATCH_SPEEDUP = 50.0
 #: Cold compile must beat the committed compile_s baseline by this much.
 REQUIRED_COMPILE_SPEEDUP = 3.0
 #: A warm disk hit must hand back the compiled plans this fast.
@@ -106,6 +122,45 @@ def make_columns(k: int, m: int, seed: int) -> dict[int, list[int]]:
         pid: [rng.randrange(1 << 20) for _ in range(m)]
         for pid in range(1, k + 1)
     }
+
+
+def seed_columnsort_programs(columns: dict[int, list[int]], grids):
+    """The seed-era §5.2 columnsort program, frozen as the batch gate's
+    reference: one new :class:`SeedCycleOp` per cycle, schedule lookups
+    on the cycle-major ``(cycles, reads)`` grids of phases 2/4/6/8
+    (``grids``, materialized once outside the timed region), run on
+    :class:`SeedMCBNetwork`.  Never optimize it — its speed is the
+    fixed yardstick."""
+
+    def transform(c, column, cycles, reads):
+        new_col = [None] * len(column)
+        for j in range(len(cycles)):
+            tr = cycles[j][c]
+            src = reads[j][c]
+            wchan = payload = rchan = None
+            if tr is not None:
+                if tr.dst_col == c:
+                    new_col[tr.dst_row] = column[tr.src_row]
+                else:
+                    wchan = c + 1
+                    payload = SeedMessage("elem", column[tr.src_row])
+            if src is not None and src != c:
+                rchan = src + 1
+            got = yield SeedCycleOp(write=wchan, payload=payload, read=rchan)
+            if rchan is not None:
+                new_col[cycles[j][src].dst_row] = got.fields[0]
+        return new_col
+
+    def program(ctx):
+        c = ctx.pid - 1
+        col = sorted(columns[ctx.pid], reverse=True)  # phase 1
+        for phase, (cycles, reads) in zip(TRANSFORM_PHASES, grids):
+            col = yield from transform(c, col, cycles, reads)
+            if phase != 6 or c != 0:  # phase 7 leaves column 1 alone
+                col = sorted(col, reverse=True)  # phases 3/5/7/9
+        return col
+
+    return {pid: program for pid in range(1, K + 1)}
 
 
 def run_generator_transforms(columns: dict[int, list[int]]):
@@ -145,10 +200,11 @@ def test_vector_engine_speedup(benchmark, emit, record, tmp_path, monkeypatch):
     # true cold-start cost a fresh (m, k) pays, gated against the
     # committed pre-vectorization compile_s.
     monkeypatch.setenv("REPRO_PLAN_CACHE", "off")
+    network = columnsort_network(K)
     clear_schedule_caches()
-    compiled_columnsort_phases.cache_clear()
+    plan_registry().clear()
     compile_start = time.perf_counter()
-    phases = compiled_columnsort_phases(M, K)
+    phases = compiled_cnet_phases(network, M)
     compile_s = time.perf_counter() - compile_start
     baseline_compile_s = committed_compile_baseline()
     compile_speedup = baseline_compile_s / compile_s
@@ -157,11 +213,11 @@ def test_vector_engine_speedup(benchmark, emit, record, tmp_path, monkeypatch):
     # Write the entry, drop the in-process cache, and time the pure
     # disk load a fresh process would pay.
     monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path / "plans"))
-    compiled_columnsort_phases.cache_clear()
-    compiled_columnsort_phases(M, K)  # compiles again; writes the entry
-    compiled_columnsort_phases.cache_clear()
+    plan_registry().clear()
+    compiled_cnet_phases(network, M)  # compiles again; writes the entry
+    plan_registry().clear()
     warm_start = time.perf_counter()
-    warm_phases = compiled_columnsort_phases(M, K)
+    warm_phases = compiled_cnet_phases(network, M)
     warm_load_s = time.perf_counter() - warm_start
     assert len(warm_phases) == len(phases)
     for fresh, loaded in zip(phases, warm_phases):
@@ -215,6 +271,24 @@ def test_vector_engine_speedup(benchmark, emit, record, tmp_path, monkeypatch):
         gen_stat_dicts.append(net.stats.to_dict())
     gen_throughput = GEN_SAMPLE / gen_total
 
+    # The frozen reference the gate keys on: same lanes, same answers.
+    grids = []
+    for ph in TRANSFORM_PHASES:
+        sched = schedule_for_phase(ph, M, K)
+        grids.append((sched.cycles, sched.reads))
+    seed_total = 0.0
+    for b in range(GEN_SAMPLE):
+        net = SeedMCBNetwork(p=P, k=K)
+        programs = seed_columnsort_programs(lanes[b], grids)
+        start = time.perf_counter()
+        out = net.run(programs, phase="columnsort")
+        seed_total += time.perf_counter() - start
+        assert {p: tuple(v) for p, v in out.items()} == (
+            gen_results[b].output
+        ), b
+        assert net.stats.to_dict() == gen_stat_dicts[b], b
+    seed_throughput = GEN_SAMPLE / seed_total
+
     # Warm the batched path's one-time machinery (ufunc loops, parse
     # caches) the way leg 1 already warmed the generator's, then take
     # the best of three passes: sub-second walls on a shared host are
@@ -231,6 +305,7 @@ def test_vector_engine_speedup(benchmark, emit, record, tmp_path, monkeypatch):
         assert batch.results[b].output == gen_results[b].output, b
         assert batch.stats[b].to_dict() == gen_stat_dicts[b], b
     batch_speedup = batch_throughput / gen_throughput
+    frozen_speedup = batch_throughput / seed_throughput
 
     record(
         bench="vector_engine",
@@ -248,11 +323,13 @@ def test_vector_engine_speedup(benchmark, emit, record, tmp_path, monkeypatch):
         fused_wall_s=round(fused_wall, 6),
         sorts_per_s={
             "generator": round(gen_throughput, 3),
+            "seed_reference": round(seed_throughput, 3),
             "vector_batched": round(batch_throughput, 3),
         },
         speedup={
             "transform": round(transform_speedup, 3),
             "batch": round(batch_speedup, 3),
+            "batch_frozen": round(frozen_speedup, 3),
             "compile": round(compile_speedup, 3),
         },
     )
@@ -260,7 +337,8 @@ def test_vector_engine_speedup(benchmark, emit, record, tmp_path, monkeypatch):
     emit(
         "Vector engine — compiled NumPy execution vs generator stepping "
         f"at p=k={K}, m={M} (transform ≥{REQUIRED_TRANSFORM_SPEEDUP:.0f}x, "
-        f"B={B} batch throughput ≥{REQUIRED_BATCH_SPEEDUP:.0f}x, cold "
+        f"B={B} batch throughput ≥{REQUIRED_BATCH_SPEEDUP:.0f}x over the "
+        "frozen seed-era reference, cold "
         f"compile ≥{REQUIRED_COMPILE_SPEEDUP:.0f}x, warm load "
         f"<{REQUIRED_WARM_LOAD_S * 1000:.0f}ms required)",
         ["leg", "generator", "vector", "speedup"],
@@ -293,7 +371,13 @@ def test_vector_engine_speedup(benchmark, emit, record, tmp_path, monkeypatch):
                 "batch (sorts/s)",
                 f"{gen_throughput:.2f}",
                 f"{batch_throughput:.2f}",
-                f"{batch_speedup:.1f}x",
+                f"{batch_speedup:.1f}x (ungated)",
+            ],
+            [
+                "batch vs frozen reference (sorts/s)",
+                f"{seed_throughput:.2f}",
+                f"{batch_throughput:.2f}",
+                f"{frozen_speedup:.1f}x",
             ],
         ],
         notes=(
@@ -307,9 +391,9 @@ def test_vector_engine_speedup(benchmark, emit, record, tmp_path, monkeypatch):
         f"vector transform {transform_speedup:.2f}x < required "
         f"{REQUIRED_TRANSFORM_SPEEDUP}x over the generator engine"
     )
-    assert batch_speedup >= REQUIRED_BATCH_SPEEDUP, (
-        f"batched vector throughput {batch_speedup:.2f}x < required "
-        f"{REQUIRED_BATCH_SPEEDUP}x over generator sorts"
+    assert frozen_speedup >= REQUIRED_BATCH_SPEEDUP, (
+        f"batched vector throughput {frozen_speedup:.2f}x < required "
+        f"{REQUIRED_BATCH_SPEEDUP}x over the frozen generator reference"
     )
     assert compile_speedup >= REQUIRED_COMPILE_SPEEDUP, (
         f"cold compile {compile_s:.3f}s is only {compile_speedup:.2f}x the "

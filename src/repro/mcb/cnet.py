@@ -14,8 +14,10 @@ sorted column of ``m`` elements.  Three round kinds exist:
   sorting network lifts to an MCB sort whose round structure is the
   network's round structure.
 * :class:`PermuteRound` — one of the §5.2 columnsort transformation
-  phases (2/4/6/8), so the existing columnsort pipeline is expressible
-  in the same IR (see :func:`columnsort_network`).
+  phases (2/4/6/8), so columnsort is a network like any other (see
+  :func:`columnsort_network`).  Its ``variant`` picks the lowering: the
+  general BvN schedule, the paper's closed-form phase 2 (``paper``), or
+  the wrap-around parking of phases 6 and 8 (``wrap``, a pair).
 * :class:`SortRound` — a free local sort of every column (descending;
   ``P_1`` ends with the largest elements, matching the repo's order).
 
@@ -31,7 +33,8 @@ Generators:
 * :func:`bitonic_network` — bitonic sort.  Directions alternate
   (``i & kk`` decides), so virtual lines would receive real data;
   power-of-two widths only.
-* :func:`columnsort_network` — the §5.2 phases 1–9 as IR rounds.
+* :func:`columnsort_network` — the §5.2 phases 1–9 as IR rounds, with
+  the paper-phase-2 and wrap-skip variants.
 
 The lowering :func:`cnet_to_schedule` turns every communication round
 into one collision-validated
@@ -39,20 +42,28 @@ into one collision-validated
 channel ``i + 1``, so a compare round's ``2 * |pairs| <= width <= k``
 endpoints each broadcast their column slot-by-slot in ``m`` cycles
 (``ceil(2 * |pairs| * m / k) = m`` when every line is paired), with the
-partner column landing in scratch slots ``m .. 2m-1``.  The plans run
-unchanged on the generator engine (``SchedulePlan.as_programs``), the
-vector executor (fused, masked, batched) and the persistent plan cache.
+partner column landing in scratch slots ``m .. 2m-1``; wrap-skip
+parks column ``k``'s wrapped elements in slots ``m .. m + m//2 - 1``
+(:meth:`ComparatorNetwork.slots`).  The plans run unchanged on the
+generator engine (``SchedulePlan.as_programs``), the vector executor
+(fused, masked, batched) and the persistent plan cache, where
+:attr:`ComparatorNetwork.key` is the network's identity.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Union
 
 from .errors import ConfigurationError
 
 #: Columnsort transformation phases expressible as PermuteRounds.
 _PERMUTE_PHASES = (2, 4, 6, 8)
+
+#: PermuteRound lowering variants and the phases each applies to.
+_VARIANT_PHASES = {"columnar": _PERMUTE_PHASES, "paper": (2,), "wrap": (6, 8)}
 
 
 @dataclass(frozen=True)
@@ -64,9 +75,16 @@ class CompareRound:
 
 @dataclass(frozen=True)
 class PermuteRound:
-    """One §5.2 columnsort transformation phase (2, 4, 6 or 8)."""
+    """One §5.2 columnsort transformation phase (2, 4, 6 or 8).
+
+    ``variant`` selects the lowering: ``"columnar"`` (the BvN schedule,
+    any phase), ``"paper"`` (phase 2 on the paper's closed-form
+    schedule) or ``"wrap"`` (phases 6 and 8 as one pair: column ``k``
+    parks its wrap-around elements instead of broadcasting them).
+    """
 
     phase: int
+    variant: str = "columnar"
 
 
 @dataclass(frozen=True)
@@ -126,6 +144,11 @@ class ComparatorNetwork:
                         f"round {i}: unknown columnsort phase {rnd.phase}; "
                         f"expected one of {_PERMUTE_PHASES}"
                     )
+                if rnd.phase not in _VARIANT_PHASES.get(rnd.variant, ()):
+                    raise ConfigurationError(
+                        f"round {i}: phase {rnd.phase} has no "
+                        f"{rnd.variant!r} lowering"
+                    )
             elif not isinstance(rnd, SortRound):
                 raise ConfigurationError(
                     f"round {i}: unknown round kind {type(rnd).__name__}"
@@ -137,14 +160,37 @@ class ComparatorNetwork:
             raise ConfigurationError(
                 "a network cannot mix CompareRounds and PermuteRounds"
             )
+        wraps = [
+            r.phase for r in self.rounds
+            if isinstance(r, PermuteRound) and r.variant == "wrap"
+        ]
+        if wraps and (wraps != [6, 8] or self.width < 2):
+            # lower_wrap_skip parks in phase 6 what phase 8 unparks.
+            raise ConfigurationError(
+                "wrap rounds come as one phase-6/phase-8 pair on width "
+                f">= 2; got phases {wraps} at width {self.width}"
+            )
 
-    @property
-    def slot_factor(self) -> int:
-        """State slots per element slot: 2 when merge-split scratch is
-        needed (any compare round), else 1."""
-        return 2 if any(
-            isinstance(r, CompareRound) for r in self.rounds
-        ) else 1
+    def slots(self, m: int) -> int:
+        """State slots per line for ``m`` elements: ``2m`` with
+        merge-split scratch (any compare round), ``m + m//2`` with
+        wrap-skip parking, else ``m``."""
+        if any(isinstance(r, CompareRound) for r in self.rounds):
+            return 2 * m
+        if any(
+            isinstance(r, PermuteRound) and r.variant == "wrap"
+            for r in self.rounds
+        ):
+            return m + m // 2
+        return m
+
+    @cached_property
+    def key(self) -> str:
+        """Plan-cache identity: the name plus a digest of the rounds, so
+        columnsort's variants — or a hand-built network that reuses a
+        family's name — never share another network's compiled plans."""
+        digest = hashlib.sha1(repr(self.rounds).encode()).hexdigest()
+        return f"{self.name}-{digest[:12]}"
 
     @property
     def comm_rounds(self) -> int:
@@ -238,17 +284,26 @@ def bitonic_network(width: int) -> ComparatorNetwork:
     return ComparatorNetwork("bitonic", width, tuple(rounds))
 
 
-def columnsort_network(width: int) -> ComparatorNetwork:
-    """The §5.2 columnsort pipeline (phases 1–9) in the round IR."""
+def columnsort_network(
+    width: int, paper_phase2: bool = False, wrap_skip: bool = False
+) -> ComparatorNetwork:
+    """The §5.2 columnsort pipeline (phases 1–9) in the round IR.
+
+    ``paper_phase2`` lowers the transpose on the paper's closed-form
+    schedule; ``wrap_skip`` parks the phase-6/8 wrap-around traffic
+    (ignored at ``width == 1``, where nothing wraps).
+    """
     if width < 1:
         raise ConfigurationError(f"width must be >= 1, got {width}")
+    shift = "wrap" if wrap_skip and width > 1 else "columnar"
     return ComparatorNetwork(
         "columnsort", width,
         (
-            SortRound(), PermuteRound(2),
+            SortRound(),
+            PermuteRound(2, "paper" if paper_phase2 else "columnar"),
             SortRound(), PermuteRound(4),
-            SortRound(), PermuteRound(6),
-            SortRound(skip_first=True), PermuteRound(8),
+            SortRound(), PermuteRound(6, shift),
+            SortRound(skip_first=True), PermuteRound(8, shift),
             SortRound(),
         ),
     )
@@ -262,8 +317,20 @@ NETWORKS = {
 }
 
 
-def build_network(name: str, width: int) -> ComparatorNetwork:
-    """Instantiate the named network family at ``width`` lines."""
+@lru_cache(maxsize=256)
+def build_network(
+    name: str,
+    width: int,
+    *,
+    paper_phase2: bool = False,
+    wrap_skip: bool = False,
+) -> ComparatorNetwork:
+    """Instantiate the named network family at ``width`` lines.
+
+    ``paper_phase2`` / ``wrap_skip`` are columnsort schedule variants;
+    every other family refuses them.  Networks are immutable, so each
+    configuration is built once per process and shared.
+    """
     try:
         builder = NETWORKS[name]
     except KeyError:
@@ -271,6 +338,13 @@ def build_network(name: str, width: int) -> ComparatorNetwork:
             f"unknown comparator network {name!r}; "
             f"known: {sorted(NETWORKS)}"
         ) from None
+    if name == "columnsort":
+        return columnsort_network(width, paper_phase2, wrap_skip)
+    if paper_phase2 or wrap_skip:
+        raise ConfigurationError(
+            "paper_phase2/wrap_skip are columnsort schedule variants; "
+            f"backend {name!r} has no such knobs"
+        )
     return builder(width)
 
 
@@ -285,10 +359,18 @@ def cnet_to_schedule(
     round packs its ``2 * |pairs| <= k`` endpoint columns onto the ``k``
     channels at one element per channel per cycle — ``m`` cycles per
     round, the per-processor write-rate lower bound.  Partner columns
-    land in scratch slots ``m .. 2m-1``.  ``SchedulePlan.compile()``
-    re-validates collision-freedom on every plan.
+    land in scratch slots ``m .. 2m-1``.  Permute rounds lower through
+    their variant: ``paper`` via
+    :func:`~repro.mcb.vector.lower.lower_paper_transpose`, the ``wrap``
+    pair via :func:`~repro.mcb.vector.lower.lower_wrap_skip`.
+    ``SchedulePlan.compile()`` re-validates collision-freedom on every
+    plan.
     """
-    from .vector.lower import lower_phase_columnar
+    from .vector.lower import (
+        lower_paper_transpose,
+        lower_phase_columnar,
+        lower_wrap_skip,
+    )
     from .vector.plan import SchedulePlan
 
     if network.width != k or p != k:
@@ -299,8 +381,9 @@ def cnet_to_schedule(
         )
     if m < 1:
         raise ConfigurationError(f"need m >= 1 elements per line, got {m}")
-    slots = network.slot_factor * m
+    slots = network.slots(m)
     plans = []
+    wrap_pair = None
     for rnd in network.rounds:
         if isinstance(rnd, CompareRound):
             writes = []
@@ -315,6 +398,14 @@ def cnet_to_schedule(
                 p=p, k=k, cycles=m, slots=slots,
                 writes=writes, reads=reads,
             ))
-        elif isinstance(rnd, PermuteRound):
+        elif not isinstance(rnd, PermuteRound):
+            continue  # sort rounds are free local work
+        elif rnd.variant == "paper":
+            plans.append(lower_paper_transpose(m, k))
+        elif rnd.variant == "wrap":
+            if rnd.phase == 6:
+                wrap_pair = lower_wrap_skip(m, k)
+            plans.append(wrap_pair[rnd.phase == 8])
+        else:
             plans.append(lower_phase_columnar(rnd.phase, m, k))
     return tuple(plans)

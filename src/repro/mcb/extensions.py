@@ -136,11 +136,12 @@ def find_max_bitwise(
     return res
 
 
-def find_max_exclusive(net_factory, values: dict[int, int], k: int):
+def find_max_exclusive(net_factory, values: dict[int, int]):
     """Comparison point: the §7.1 tree tournament on the standard model.
 
-    ``net_factory`` builds a standard :class:`~repro.mcb.MCBNetwork`;
-    returns ``(network, results)`` so callers can read the stats.
+    ``net_factory`` builds a standard :class:`~repro.mcb.MCBNetwork`,
+    whose ``k`` is the channel count the tournament runs on; returns
+    ``(network, results)`` so callers can read the stats.
     """
     from .network import MCBNetwork
     from ..prefix.mcb_partial_sums import mcb_total_sum

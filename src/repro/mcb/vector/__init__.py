@@ -20,7 +20,6 @@ from .cache import (
     PLAN_SCHEMA_VERSION,
     PlanRegistry,
     cnet_plan_stem,
-    columnsort_plan_stem,
     load_compiled_phases,
     plan_cache_dir,
     plan_entry_path,
@@ -56,7 +55,6 @@ __all__ = [
     "SchedulePlan",
     "VectorRun",
     "cnet_plan_stem",
-    "columnsort_plan_stem",
     "build_batched_state",
     "build_state",
     "compact_rows",

@@ -1,10 +1,12 @@
 """Compiled-plan caching: one in-memory/on-disk registry, all backends.
 
 Compiling a schedule plan is a pure function of its configuration —
-``(m, k, paper_phase2, wrap_skip)`` for the columnsort transformation
-phases, ``(network, m, k)`` for the comparator-network backends — so
-the resulting :class:`~repro.mcb.vector.plan.CompiledPhase` arrays can
-be written to disk once and loaded by every later process (service
+``(network, m, k)``, where the network key
+(:attr:`repro.mcb.cnet.ComparatorNetwork.key`) digests the network's
+rounds, lowering variants such as columnsort's paper phase 2 or
+wrap-skip included — so the resulting
+:class:`~repro.mcb.vector.plan.CompiledPhase` arrays can be written
+to disk once and loaded by every later process (service
 boots, CI runs, fresh grid sweeps) in milliseconds instead of
 recompiled.
 
@@ -76,30 +78,12 @@ def plan_entry_path(root: Path, stem: str) -> Path:
     return root / f"{stem}_v{PLAN_SCHEMA_VERSION}.npz"
 
 
-def columnsort_plan_path(
-    root: Path, m: int, k: int, paper_phase2: bool, wrap_skip: bool
-) -> Path:
-    """Deterministic entry path for one columnsort configuration."""
-    return plan_entry_path(root, columnsort_plan_stem(
-        m, k, paper_phase2, wrap_skip
-    ))
-
-
-def columnsort_plan_stem(
-    m: int, k: int, paper_phase2: bool, wrap_skip: bool
-) -> str:
-    """Registry/filename stem of one columnsort configuration."""
-    return (
-        f"columnsort_m{m}_k{k}"
-        f"_paper{int(paper_phase2)}_wrap{int(wrap_skip)}"
-    )
-
-
 def cnet_plan_stem(network: str, m: int, k: int) -> str:
     """Registry/filename stem of one comparator-network configuration.
 
-    The network name is part of the identity, so Batcher/bitonic plans
-    never alias each other or the columnsort entries above.
+    ``network`` is the network's key (name plus a digest of its
+    rounds), so Batcher, bitonic and each columnsort variant never
+    alias.
     """
     return f"cnet_{network}_m{m}_k{k}"
 
@@ -107,10 +91,11 @@ def cnet_plan_stem(network: str, m: int, k: int) -> str:
 class PlanRegistry:
     """One in-memory + on-disk cache for every backend's compiled plans.
 
-    Entries are keyed by their filename stem (which encodes backend and
-    shape), so ``clear()`` / :func:`repro.sort.vector.prewarm_plan_cache`
-    evict and warm columnsort and comparator-network plans through one
-    surface.  Each :meth:`lookup` counts on ``vector_plan_cache_total``
+    Entries are keyed by their filename stem (which encodes network,
+    variant and shape), so ``clear()`` /
+    :func:`repro.sort.vector.prewarm_plan_cache` evict and warm every
+    backend's plans through one surface.  Each :meth:`lookup` counts
+    on ``vector_plan_cache_total``
     (labels ``result=hit|disk_hit|miss``, ``backend=<name>``) and each
     true miss adds its wall time to ``vector_plan_compile_seconds`` on
     :func:`repro.obs.metrics.global_registry`.

@@ -125,8 +125,9 @@ class ServiceApp:
         evicting the oldest — the bounded-memory guarantee under
         sustained load.
     prewarm:
-        Optional sequence of ``(m, k[, paper_phase2[, wrap_skip]])``
-        tuples: vector-sort plan-cache configurations compiled in every
+        Optional sequence of ``(backend, m, k, paper_phase2,
+        wrap_skip)`` tuples (:func:`repro.service.cli.parse_prewarm`'s
+        output): vector-sort plan-cache configurations compiled in every
         executor process at pool start
         (:func:`repro.service.execution.prewarm_worker`), so the first
         vector job never pays plan-compile latency.

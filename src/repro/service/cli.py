@@ -76,28 +76,26 @@ def add_serve_parser(sub) -> None:
 
 
 def parse_prewarm(entries) -> tuple:
-    """Parse ``--prewarm [backend:]MxK[:wrap]`` into plan-cache tuples.
+    """Parse ``--prewarm [backend:]MxK[:wrap]`` into plan-cache configs.
 
-    Legacy shapes produce columnsort ``(m, k, paper, wrap)`` tuples; a
-    leading backend name produces the registry's string-first
-    ``(backend, m, k)`` form (see
-    :func:`repro.sort.vector.prewarm_plan_cache`).
+    Each entry becomes one ``(backend, m, k, paper_phase2, wrap_skip)``
+    tuple, the one shape :func:`repro.sort.vector.prewarm_plan_cache`
+    takes; a bare ``MxK`` is columnsort, and ``:wrap`` (columnsort only)
+    selects its wrap-skip variant.
     """
     configs = []
     for entry in entries or ():
         body, _, flag = entry.partition(":")
-        backend = None
+        backend = "columnsort"
         if body and not body[0].isdigit():
             backend, (body, _, flag) = body, flag.partition(":")
-            if backend == "columnsort":
-                backend = None  # same entries as the legacy form
         wrap = flag == "wrap"
         if flag and not wrap:
             raise SystemExit(
                 f"--prewarm: unknown flag {flag!r} in {entry!r} "
                 "(only ':wrap' is recognised)"
             )
-        if backend is not None and wrap:
+        if backend != "columnsort" and wrap:
             raise SystemExit(
                 f"--prewarm: ':wrap' is a columnsort variant, not "
                 f"applicable to backend {backend!r} in {entry!r}"
@@ -111,10 +109,7 @@ def parse_prewarm(entries) -> tuple:
             raise SystemExit(
                 f"--prewarm: expected [backend:]MxK[:wrap], got {entry!r}"
             )
-        if backend is not None:
-            configs.append((backend, m, k))
-        else:
-            configs.append((m, k, False, wrap))
+        configs.append((backend, m, k, False, wrap))
     return tuple(configs)
 
 

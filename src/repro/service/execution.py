@@ -15,7 +15,8 @@ to the configured executor:
   ``run_config``-shaped payload per lane so batch lanes and solo runs
   share the result cache.
 * :func:`prewarm_worker` — a process-pool *initializer* that compiles
-  the vector plan cache for a known set of ``(m, k)`` configurations
+  the vector plan cache for a known set of ``(backend, m, k, ...)``
+  configurations
   before the worker accepts jobs, so the first batch job never pays
   compile latency inside its measured wall time.
 """
@@ -145,7 +146,7 @@ def prewarm_worker(configs: Sequence[Sequence[Any]]) -> None:
 
     Passed as the ``initializer`` of the service's process pool (and run
     inline for the ``sync``/``thread`` executors), with ``configs`` a
-    sequence of ``(m, k[, paper_phase2[, wrap_skip]])`` tuples — see
+    sequence of ``(backend, m, k, paper_phase2, wrap_skip)`` tuples — see
     :func:`repro.sort.vector.prewarm_plan_cache`.  Compile time lands on
     the ``vector_plan_compile_seconds`` counter at pool start instead of
     inside the first job's wall clock.

@@ -12,7 +12,6 @@ from .rebalance import even_targets, rebalance
 from .uneven import sort_uneven
 from .vector import (
     BatchSortResult,
-    compiled_columnsort_phases,
     prewarm_plan_cache,
     sort_even_pk_batch,
     sort_even_pk_vector,
@@ -39,7 +38,6 @@ __all__ = [
     "choose_strategy",
     "columnsort_program",
     "compiled_cnet_phases",
-    "compiled_columnsort_phases",
     "crossover_table",
     "is_dummy",
     "mcb_merge",

@@ -136,7 +136,7 @@ def static_plan_stats(
     from ..mcb.vector import static_message_bits
     from .cnet_sort import compiled_cnet_phases
 
-    compiled = compiled_cnet_phases(backend, m, k)
+    compiled = compiled_cnet_phases(network_for(backend, k), m)
     cw = np.zeros(k + 1, dtype=np.int64)
     cycles = 0
     messages = 0

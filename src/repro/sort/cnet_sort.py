@@ -8,6 +8,13 @@ free sorts — is data-dependent but costs nothing in the MCB model, so
 it runs as whole-matrix NumPy on the vector engine and as plain Python
 inside per-processor programs on the generator engine.
 
+:func:`_cnet_pipeline` is the one vector sort pipeline: §5.2 columnsort
+(with its paper-phase-2 and wrap-skip variants) is a network like
+Batcher or bitonic, so :func:`repro.sort.vector.sort_even_pk_vector`,
+:func:`repro.sort.vector.sort_even_pk_batch` and
+:func:`sort_cnet_vector` all run through it, on solo ``(k, slots)``
+and batched ``(k, slots, B)`` states alike.
+
 The generator driver is the vector driver's parity oracle: every round
 plan is rendered through ``SchedulePlan.as_programs`` (the same literal
 event stream the executor gathers), and the combine applies the same
@@ -15,10 +22,11 @@ merge rule to the same values, so outputs *and* ``RunStats.to_dict()``
 accounting agree bit-for-bit (``tests/test_cnet_backends.py``).
 
 Compiled round plans live in the shared
-:class:`~repro.mcb.vector.cache.PlanRegistry` under a network-keyed
-stem (``cnet_<name>_m<m>_k<k>``), so Batcher/bitonic plans get the same
-memory/disk caching, prewarming, and ``vector_plan_cache_total``
-accounting (labelled ``backend=<name>``) as the columnsort phases.
+:class:`~repro.mcb.vector.cache.PlanRegistry` under a stem keyed on the
+network's rounds, variant included (``cnet_<key>_m<m>_k<k>``, see
+:attr:`~repro.mcb.cnet.ComparatorNetwork.key`), with memory/disk caching,
+prewarming, and ``vector_plan_cache_total`` accounting labelled
+``backend=<name>`` — ``columnsort`` for every columnsort variant.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..columnsort.matrix import require_valid_dims
 from ..mcb.cnet import (
     CompareRound,
     ComparatorNetwork,
@@ -39,25 +46,24 @@ from ..mcb.errors import ConfigurationError
 from ..mcb.network import MCBNetwork
 from ..mcb.vector import CompiledPhase, VectorRun, build_state
 from ..mcb.vector.cache import cnet_plan_stem, plan_registry
-from .even_pk import SortResult
-from .vector import _ascending, _descending, _validated_columns
+from .even_pk import SortResult, _validated_columns
 
 
 def compiled_cnet_phases(
-    name: str, m: int, k: int
+    network: ComparatorNetwork, m: int
 ) -> tuple[CompiledPhase, ...]:
-    """Compiled plans for the named network's communication rounds.
+    """Compiled plans for ``network``'s communication rounds at ``m``.
 
-    One entry per compare/permute round, in round order.  The
-    ``"columnsort"`` network shares the plain columnsort phase entries
-    (same plans, same disk files, same ``backend="columnsort"`` label);
-    other networks cache under their own network-keyed stem.
+    One entry per compare/permute round, in round order, cached per
+    ``(network.key, m, width)`` in the process-wide
+    :class:`~repro.mcb.vector.cache.PlanRegistry` and its on-disk store
+    (``~/.cache/repro/plans`` or ``$REPRO_PLAN_CACHE``), so a fresh
+    process loads compiled plans in milliseconds instead of
+    recompiling.  Each lookup counts on ``vector_plan_cache_total``
+    (``result=hit|disk_hit|miss``, ``backend=network.name``) and each
+    true miss adds its wall time to ``vector_plan_compile_seconds``.
     """
-    if name == "columnsort":
-        from .vector import compiled_columnsort_phases
-
-        return compiled_columnsort_phases(m, k)
-    network = build_network(name, k)
+    k = network.width
 
     def build() -> tuple[CompiledPhase, ...]:
         return tuple(
@@ -65,16 +71,16 @@ def compiled_cnet_phases(
         )
 
     return plan_registry().lookup(
-        cnet_plan_stem(name, m, k), backend=name, build=build
+        cnet_plan_stem(network.key, m, k), backend=network.name, build=build
     )
 
 
 @lru_cache(maxsize=512)
-def _generator_plans(name: str, m: int, k: int) -> tuple:
+def _generator_plans(network: ComparatorNetwork, m: int) -> tuple:
     """Uncompiled round plans for the generator driver, cached — the
     plans (and their program event maps) are pure functions of the
     configuration, so repeated small sorts skip the lowering."""
-    return cnet_to_schedule(build_network(name, k), k, k, m)
+    return cnet_to_schedule(network, network.width, network.width, m)
 
 
 def cnet_steps(network: ComparatorNetwork) -> list[tuple]:
@@ -135,33 +141,71 @@ def _merge_split(
     state[lo_idx, :m] = seg[:, m:]
 
 
+def _descending(
+    state: np.ndarray, skip_first: bool, width: int
+) -> None:
+    """Sort every column (row of ``state``) descending, in place.
+
+    Ties carry no hidden order: equal values are equal elements (bit
+    accounting is a function of the value), so an in-place sort matches
+    the generator's ``sorted(column, reverse=True)`` exactly.  Axis 1 is
+    the slot axis in both the solo and the batched layout; only the
+    first ``width`` slots hold the column (scratch and parking slots
+    follow).  ``skip_first`` leaves line 0 alone (columnsort's phase 7).
+    Numeric states sort via negate/sort/negate, which stays in place
+    instead of materializing a reversed-stride copy.
+    """
+    view = state[1 if skip_first else 0:, :width]
+    if view.dtype == object:
+        view[...] = np.sort(view, axis=1)[:, ::-1]
+    else:
+        np.negative(view, out=view)
+        view.sort(axis=1)
+        np.negative(view, out=view)
+
+
 def _cnet_pipeline(
     run: VectorRun,
     state: np.ndarray,
     network: ComparatorNetwork,
-    compiled: tuple[CompiledPhase, ...],
     m: int,
 ) -> np.ndarray:
-    """Execute every round of ``network`` on the vector engine."""
+    """Execute every round of ``network`` on the vector engine.
+
+    ``state`` holds each line's ``m`` elements, solo ``(k, m)`` or
+    batched ``(k, m, B)``; returns the final state, whose first ``m``
+    slots are the sorted columns.  Every plan discards its input, so
+    each one runs on a donated buffer (no per-round defensive copy).
+    """
+    compiled = compiled_cnet_phases(network, m)
+    extra = network.slots(m) - m
+    if extra:
+        # Scratch (merge-split partners) and parking (wrap-skip) slots
+        # start as a copy of the first slots: each is written before it
+        # is read, and copying keeps the state's dtype.
+        state = np.concatenate([state, state[:, :extra]], axis=1)
     steps = cnet_steps(network)
     if state.dtype == object or run._dispatch is not None:
         for step in steps:
             if step[0] == "plan":
                 state = run.execute(compiled[step[1]], state, donate=True)
             elif step[0] == "sort":
-                _descending(state, skip_first=step[1], width=m)
+                _descending(state, step[1], m)
             else:
                 _merge_split(state, step[1], step[2], m, descending=True)
         return state
-    # Numeric, unobserved runs: bracket with one global negation and do
-    # every local sort/merge ascending — the same sign-invariant-bits
-    # trick the columnsort pipeline uses (see _columnsort_pipeline).
+    # Numeric, unobserved runs: each descending sort would be
+    # negate/sort/negate, and bit accounting is sign-invariant (ints
+    # charge ``bit_length(abs(v))``, floats a flat 64), so one global
+    # negation brackets the whole run and every local sort and merge
+    # goes plain ascending.  Observed runs stay on the descending path:
+    # dispatch events carry the actual values.
     np.negative(state, out=state)
     for step in steps:
         if step[0] == "plan":
             state = run.execute(compiled[step[1]], state, donate=True)
         elif step[0] == "sort":
-            _ascending(state, skip_first=step[1], width=m)
+            state[1 if step[1] else 0:, :m].sort(axis=1)
         else:
             _merge_split(state, step[1], step[2], m, descending=False)
     np.negative(state, out=state)
@@ -169,20 +213,40 @@ def _cnet_pipeline(
 
 
 def _validated(
-    net: MCBNetwork, columns: dict[int, list], network: ComparatorNetwork
+    p: int, k: int, columns: dict[int, list], network: ComparatorNetwork
 ) -> int:
-    k = net.k
-    if net.p != k or network.width != k:
+    """Even ``p = k = width`` input validation for a network; returns ``m``.
+
+    Columnsort networks keep the §5.2 dimension rule their correctness
+    needs; the other families sort any even shape.
+    """
+    if p != k or network.width != k:
         raise ConfigurationError(
             "comparator-network sorts run on p == k == width; got "
-            f"p={net.p}, k={k}, width={network.width}"
+            f"p={p}, k={k}, width={network.width}"
         )
-    m = _validated_columns(k, columns, require_dims=False)
-    if network.name == "columnsort":
-        # The columnsort extraction is still columnsort: its
-        # correctness needs the §5.2 dimension rule.
-        require_valid_dims(m, k)
-    return m
+    return _validated_columns(
+        p, k, columns, require_dims=network.name == "columnsort"
+    )
+
+
+def _solo_sort(
+    net: MCBNetwork,
+    state: np.ndarray,
+    network: ComparatorNetwork,
+    m: int,
+    phase: str,
+) -> SortResult:
+    """Run one instance's ``(k, m)`` state; costs land in ``net.stats``."""
+    run = VectorRun(
+        net.p, net.k, phase=phase, stats=net.stats, dispatch=net._dispatch
+    )
+    state = _cnet_pipeline(run, state, network, m)
+    run.finish()
+    rows = state[:, :m].tolist()
+    return SortResult(
+        output={pid: tuple(rows[pid - 1]) for pid in range(1, net.k + 1)}
+    )
 
 
 def sort_cnet_vector(
@@ -193,25 +257,10 @@ def sort_cnet_vector(
     phase: str = "sort",
 ) -> SortResult:
     """Run ``network`` on the vector engine; costs land in ``net.stats``."""
-    k = net.k
-    m = _validated(net, columns, network)
-    compiled = compiled_cnet_phases(network.name, m, k)
-    rows = [list(columns[pid]) for pid in range(1, k + 1)]
-    if network.slot_factor == 2:
-        # Scratch slots m..2m-1 start as a copy of the own column: they
-        # are fully overwritten by the first round's reads before any
-        # use, and duplicating keeps the state's dtype untouched.
-        rows = [row + row for row in rows]
-    state = build_state(rows)
-    run = VectorRun(
-        net.p, k, phase=f"{phase}/cnet-{network.name}",
-        stats=net.stats, dispatch=net._dispatch,
-    )
-    state = _cnet_pipeline(run, state, network, compiled, m)
-    run.finish()
-    out = state[:, :m].tolist()
-    return SortResult(
-        output={pid: tuple(out[pid - 1]) for pid in range(1, k + 1)}
+    m = _validated(net.p, net.k, columns, network)
+    state = build_state([list(columns[pid]) for pid in range(1, net.k + 1)])
+    return _solo_sort(
+        net, state, network, m, f"{phase}/cnet-{network.name}"
     )
 
 
@@ -231,16 +280,16 @@ def sort_cnet_generator(
     driver computes, message for message.
     """
     k = net.k
-    m = _validated(net, columns, network)
-    plans = _generator_plans(network.name, m, k)
+    m = _validated(net.p, k, columns, network)
+    plans = _generator_plans(network, m)
     steps = cnet_steps(network)
-    double = network.slot_factor == 2
+    extra = network.slots(m) - m
 
     def make(pid: int):
         col = list(columns[pid])
 
         def program(ctx):
-            row = col + col if double else list(col)
+            row = col + col[:extra]  # the vector state's slot rule
             for step in steps:
                 if step[0] == "plan":
                     prog = plans[step[1]].as_program(ctx.pid - 1, row)

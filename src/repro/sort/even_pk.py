@@ -51,6 +51,28 @@ class SortResult:
         return {pid: list(v) for pid, v in self.output.items()}
 
 
+def _validated_columns(
+    p: int, k: int, columns: dict[int, list], require_dims: bool = True
+) -> int:
+    """Shared even ``p = k`` input validation; returns ``m``.
+
+    ``require_dims=False`` relaxes the columnsort dimension rule
+    (``m >= k(k-1)``, ``k | m``) — the other comparator-network
+    backends sort any even ``p = k`` shape.
+    """
+    if p != k:
+        raise ValueError(f"sort_even_pk requires p == k, got p={p}, k={k}")
+    if sorted(columns) != list(range(1, k + 1)):
+        raise ValueError("columns must be given for every processor 1..k")
+    lengths = {len(c) for c in columns.values()}
+    if len(lengths) != 1:
+        raise ValueError(f"distribution is not even: lengths {sorted(lengths)}")
+    m = lengths.pop()
+    if require_dims:
+        require_valid_dims(m, k)
+    return m
+
+
 def _apply_steps(
     col_idx: int, column: list, steps, new_col: list, complete: bool
 ):
@@ -280,15 +302,19 @@ def sort_even_pk(
     SortResult
         pid -> descending segment (``P_1`` holds the largest elements).
     """
+    if engine not in ("generator", "vector"):
+        raise ConfigurationError(
+            f"unknown engine {engine!r}; expected 'generator' or 'vector'"
+        )
     if backend != "columnsort":
-        if paper_phase2 or wrap_skip:
-            raise ConfigurationError(
-                "paper_phase2/wrap_skip are columnsort schedule "
-                f"variants; backend {backend!r} has no such knobs"
-            )
-        from .cnet_sort import sort_cnet
+        from ..mcb.cnet import build_network
+        from .cnet_sort import sort_cnet_generator, sort_cnet_vector
 
-        return sort_cnet(net, columns, backend, phase=phase, engine=engine)
+        network = build_network(
+            backend, net.k, paper_phase2=paper_phase2, wrap_skip=wrap_skip
+        )
+        driver = sort_cnet_vector if engine == "vector" else sort_cnet_generator
+        return driver(net, columns, network, phase=phase)
     if engine == "vector":
         from .vector import sort_even_pk_vector
 
@@ -296,20 +322,8 @@ def sort_even_pk(
             net, columns,
             paper_phase2=paper_phase2, wrap_skip=wrap_skip, phase=phase,
         )
-    if engine != "generator":
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected 'generator' or 'vector'"
-        )
     k = net.k
-    if net.p != k:
-        raise ValueError(f"sort_even_pk requires p == k, got p={net.p}, k={k}")
-    if sorted(columns) != list(range(1, k + 1)):
-        raise ValueError("columns must be given for every processor 1..k")
-    lengths = {len(c) for c in columns.values()}
-    if len(lengths) != 1:
-        raise ValueError(f"distribution is not even: lengths {sorted(lengths)}")
-    m = lengths.pop()
-    require_valid_dims(m, k)
+    m = _validated_columns(net.p, k, columns)
 
     def program(ctx: ProcContext):
         result = yield from columnsort_program(

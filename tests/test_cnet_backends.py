@@ -45,6 +45,7 @@ from repro.mcb.cnet import (
 from repro.mcb.errors import ConfigurationError
 from repro.mcb.network import MCBNetwork
 from repro.mcb.vector import VectorRun, build_state, fuse_phases
+from repro.mcb.vector.cache import plan_registry
 from repro.obs.metrics import global_registry
 from repro.sort import mcb_sort, sort_even_pk, sort_even_pk_batch
 from repro.sort.backends import (
@@ -55,7 +56,12 @@ from repro.sort.backends import (
     predicted_cost,
     static_plan_stats,
 )
-from repro.sort.cnet_sort import compiled_cnet_phases, sort_cnet
+from repro.sort.cnet_sort import (
+    compiled_cnet_phases,
+    sort_cnet,
+    sort_cnet_generator,
+    sort_cnet_vector,
+)
 from repro.sort.vector import prewarm_plan_cache
 
 
@@ -126,9 +132,36 @@ class TestNetworkValidation:
     def test_columnsort_ir_structure(self):
         net = columnsort_network(5)
         assert net.comm_rounds == 4
-        assert net.slot_factor == 1
+        assert net.slots(20) == 20
         assert [r.phase for r in net.rounds
                 if isinstance(r, PermuteRound)] == [2, 4, 6, 8]
+
+    def test_permute_variant_rules(self):
+        with pytest.raises(ConfigurationError, match="no 'paper' lowering"):
+            ComparatorNetwork("bad", 4, (PermuteRound(4, "paper"),))
+        with pytest.raises(ConfigurationError, match="no 'wrap' lowering"):
+            ComparatorNetwork("bad", 4, (PermuteRound(2, "wrap"),))
+        with pytest.raises(ConfigurationError, match="one phase-6/phase-8"):
+            ComparatorNetwork("bad", 4, (PermuteRound(6, "wrap"),))
+        with pytest.raises(ConfigurationError, match="one phase-6/phase-8"):
+            ComparatorNetwork(
+                "bad", 1, (PermuteRound(6, "wrap"), PermuteRound(8, "wrap"))
+            )
+
+    def test_columnsort_variants_are_distinct_plan_identities(self):
+        keys = {
+            columnsort_network(4, paper, wrap).key
+            for paper in (False, True) for wrap in (False, True)
+        }
+        assert len(keys) == 4
+        assert all(key.startswith("columnsort-") for key in keys)
+        assert columnsort_network(4, wrap_skip=True).slots(9) == 13
+        # Nothing wraps at width 1: the variant is dropped.
+        assert columnsort_network(1, wrap_skip=True).key == (
+            columnsort_network(1).key
+        )
+        with pytest.raises(ConfigurationError, match="no such knobs"):
+            build_network("batcher", 4, wrap_skip=True)
 
     def test_batcher_round_counts(self):
         # depth d = ceil(log2 w): d(d+1)/2 rounds at full power of two.
@@ -136,7 +169,7 @@ class TestNetworkValidation:
         assert batcher_network(4).comm_rounds == 3
         assert batcher_network(8).comm_rounds == 6
         assert batcher_network(1).comm_rounds == 0
-        assert batcher_network(1).slot_factor == 1
+        assert batcher_network(1).slots(3) == 3
 
 
 # -------------------------------------------- 0-1 principle at m = 1 --
@@ -296,7 +329,7 @@ def test_cnet_plan_runs_fused_and_masked():
     with identical results — cnet plans are ordinary compiled phases."""
     network = build_network("batcher", 4)
     m = 2
-    compiled = compiled_cnet_phases("batcher", m, 4)
+    compiled = compiled_cnet_phases(network, m)
     rows = [[9, 1, 0, 0], [7, 3, 0, 0], [8, 2, 0, 0], [6, 4, 0, 0]]
 
     plain_run = VectorRun(4, 4, phase="plain")
@@ -321,7 +354,7 @@ def test_cnet_plan_runs_fused_and_masked():
     masked_stats = masked_run.finish()[0]
     assert np.array_equal(plain, masked)
     assert plain_stats.to_dict() == masked_stats.to_dict()
-    assert network.slot_factor == 2
+    assert network.slots(m) == 2 * m
 
 
 def test_batch_cnet_matches_solo_runs():
@@ -471,37 +504,52 @@ def test_plan_registry_backend_labels(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path / "plans"))
     reg = global_registry()
     reg.reset()
-    from repro.sort.vector import compiled_columnsort_phases
-
-    compiled_columnsort_phases.cache_clear()  # clears every backend
-    compiled_cnet_phases("batcher", 4, 4)
+    batcher = build_network("batcher", 4)
+    plan_registry().clear()  # clears every backend
+    compiled_cnet_phases(batcher, 4)
     plans = reg.counter("vector_plan_cache_total")
     assert plans.get(result="miss", backend="batcher") == 1
-    compiled_cnet_phases("batcher", 4, 4)
+    compiled_cnet_phases(batcher, 4)
     assert plans.get(result="hit", backend="batcher") == 1
-    # One eviction surface: clearing through the columnsort alias
-    # evicts the batcher entry too, which then disk-hits.
-    compiled_columnsort_phases.cache_clear()
-    compiled_cnet_phases("batcher", 4, 4)
+    # One eviction surface: clearing the registry evicts the batcher
+    # entry too, which then disk-hits.
+    plan_registry().clear()
+    compiled_cnet_phases(batcher, 4)
     assert plans.get(result="disk_hit", backend="batcher") == 1
     # Different backends never alias: bitonic at the same shape misses.
-    compiled_cnet_phases("bitonic", 4, 4)
+    compiled_cnet_phases(build_network("bitonic", 4), 4)
     assert plans.get(result="miss", backend="bitonic") == 1
+
+
+def test_hand_built_network_never_reuses_family_plans():
+    """A network that borrows a family's name is still its own plan
+    identity: it must not run the family's cached plans."""
+    cols = make_columns(4, 2, seed=5)
+    sort_cnet(MCBNetwork(p=4, k=4), cols, "batcher", engine="vector")
+    odd = ComparatorNetwork(
+        "batcher", 4, (SortRound(), CompareRound(pairs=((0, 3),)))
+    )
+    assert odd.key != build_network("batcher", 4).key
+    outs = [
+        driver(MCBNetwork(p=4, k=4), cols, odd).output
+        for driver in (sort_cnet_vector, sort_cnet_generator)
+    ]
+    assert outs[0] == outs[1]
 
 
 def test_prewarm_accepts_backend_configs(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path / "plans"))
     reg = global_registry()
     reg.reset()
-    from repro.sort.vector import compiled_columnsort_phases
-
-    compiled_columnsort_phases.cache_clear()
+    plan_registry().clear()
     warmed = prewarm_plan_cache([
-        (12, 4), ("batcher", 12, 4), ("bitonic", 12, 4),
+        ("columnsort", 12, 4, False, False),
+        ("batcher", 12, 4, False, False),
+        ("bitonic", 12, 4, False, False),
     ])
     assert warmed == 3
     plans = reg.counter("vector_plan_cache_total")
-    compiled_cnet_phases("batcher", 12, 4)
+    compiled_cnet_phases(build_network("batcher", 4), 12)
     assert plans.get(result="hit", backend="batcher") == 1
 
 
@@ -509,11 +557,13 @@ def test_parse_prewarm_backend_grammar():
     from repro.service.cli import parse_prewarm
 
     assert parse_prewarm(["20x5", "20x5:wrap", "batcher:8x4"]) == (
-        (20, 5, False, False), (20, 5, False, True), ("batcher", 8, 4),
+        ("columnsort", 20, 5, False, False),
+        ("columnsort", 20, 5, False, True),
+        ("batcher", 8, 4, False, False),
     )
-    # columnsort: prefix is the legacy tuple, so it shares cache entries.
+    # A columnsort: prefix is the bare form, so it shares cache entries.
     assert parse_prewarm(["columnsort:20x5:wrap"]) == (
-        (20, 5, False, True),
+        ("columnsort", 20, 5, False, True),
     )
     with pytest.raises(SystemExit, match="wrap"):
         parse_prewarm(["batcher:8x4:wrap"])
@@ -525,12 +575,11 @@ def test_zero_round_network_compiles_to_empty_tuple(tmp_path, monkeypatch):
     """batcher at k=1 has no communication rounds: the compiled tuple is
     empty, survives the disk cache, and the sort still works."""
     monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path / "plans"))
-    from repro.sort.vector import compiled_columnsort_phases
-
-    compiled_columnsort_phases.cache_clear()
-    assert compiled_cnet_phases("batcher", 3, 1) == ()
-    compiled_columnsort_phases.cache_clear()
-    assert compiled_cnet_phases("batcher", 3, 1) == ()  # disk round-trip
+    batcher = build_network("batcher", 1)
+    plan_registry().clear()
+    assert compiled_cnet_phases(batcher, 3) == ()
+    plan_registry().clear()
+    assert compiled_cnet_phases(batcher, 3) == ()  # disk round-trip
     cols = {1: [2, 9, 4]}
     for engine in ("generator", "vector"):
         net = MCBNetwork(p=1, k=1)

@@ -124,7 +124,7 @@ class TestBitwiseMax:
         vals = {i + 1: int(rng.integers(0, 1 << 16)) for i in range(p)}
         net_bit = ExtendedNetwork(p=p, k=1, write_policy="detect")
         find_max_bitwise(net_bit, vals, bits=16)
-        net_tree, _ = find_max_exclusive(lambda: MCBNetwork(p=p, k=1), vals, 1)
+        net_tree, _ = find_max_exclusive(lambda: MCBNetwork(p=p, k=1), vals)
         # the §9 separation: concurrent write finds extrema in O(bits)
         assert net_bit.stats.cycles < net_tree.stats.cycles / 4
 

@@ -13,13 +13,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.mcb.cnet import columnsort_network
 from repro.mcb.vector import SchedulePlan
 from repro.mcb.vector.cache import (
     PLAN_SCHEMA_VERSION,
     _ARRAY_FIELDS,
-    columnsort_plan_path,
+    cnet_plan_stem,
     load_compiled_phases,
     plan_cache_dir,
+    plan_entry_path,
     save_compiled_phases,
 )
 
@@ -90,12 +92,14 @@ def test_schema_mismatch_loads_as_none(tmp_path):
 
 
 def test_plan_path_carries_config_and_version(tmp_path):
-    path = columnsort_plan_path(tmp_path, 20, 5, True, False)
+    paper = columnsort_network(5, paper_phase2=True)
+    path = plan_entry_path(tmp_path, cnet_plan_stem(paper.key, 20, 5))
     assert path.parent == tmp_path
     assert path.name == (
-        f"columnsort_m20_k5_paper1_wrap0_v{PLAN_SCHEMA_VERSION}.npz"
+        f"cnet_{paper.key}_m20_k5_v{PLAN_SCHEMA_VERSION}.npz"
     )
-    other = columnsort_plan_path(tmp_path, 20, 5, False, True)
+    wrap = columnsort_network(5, wrap_skip=True)
+    other = plan_entry_path(tmp_path, cnet_plan_stem(wrap.key, 20, 5))
     assert other != path
 
 

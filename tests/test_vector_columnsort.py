@@ -15,11 +15,13 @@ import random
 import pytest
 
 from repro.bench import BenchSpec, run_config
+from repro.mcb.cnet import columnsort_network
 from repro.mcb.errors import ConfigurationError
 from repro.mcb.reference import ReferenceMCBNetwork
+from repro.mcb.vector.cache import plan_registry
 from repro.obs import Observer, global_registry
 from repro.sort import mcb_sort, sort_even_pk, sort_even_pk_batch
-from repro.sort.vector import compiled_columnsort_phases
+from repro.sort.cnet_sort import compiled_cnet_phases, sort_cnet_generator
 
 K, M = 4, 16
 
@@ -181,16 +183,51 @@ def test_wrap_skip_event_stream_matches_generator():
     assert gen_rec.events == vec_rec.events
 
 
-def test_batched_wrap_skip_matches_generator():
-    lanes = [int_columns(s) for s in (41, 42)]
-    batch = sort_even_pk_batch(K, lanes, wrap_skip=True)
+@pytest.mark.parametrize(
+    "k, m, variant",
+    [
+        (K, M, {"wrap_skip": True}),
+        (K, M, {"paper_phase2": True}),
+        (K, M, {"paper_phase2": True, "wrap_skip": True}),
+        (3, 9, {"wrap_skip": True}),  # odd m, as the golden file pins
+    ],
+    ids=["wrap", "paper", "paper-wrap", "wrap-odd-m"],
+)
+def test_batched_wrap_skip_matches_generator(k, m, variant):
+    lanes = [int_columns(s, k, m) for s in (41, 42)]
+    batch = sort_even_pk_batch(k, lanes, **variant)
     for b, lane in enumerate(lanes):
-        net = ReferenceMCBNetwork(p=K, k=K)
+        net = ReferenceMCBNetwork(p=k, k=k)
         gen = sort_even_pk(
-            net, {p: list(v) for p, v in lane.items()}, wrap_skip=True
+            net, {p: list(v) for p, v in lane.items()}, **variant
         )
         assert batch.results[b].output == gen.output, b
         assert batch.stats[b].to_dict() == net.stats.to_dict(), b
+
+
+@pytest.mark.parametrize("paper_phase2", [False, True])
+@pytest.mark.parametrize("wrap_skip", [False, True])
+@pytest.mark.parametrize("k, m", [(K, M), (3, 9)])
+def test_columnsort_ir_matches_paper_program(k, m, paper_phase2, wrap_skip):
+    """The IR lowering of every columnsort variant, rendered as literal
+    generator programs, equals the paper's own §5.2 program in outputs
+    and accounting — a check against the paper, not against itself."""
+    columns = int_columns(61, k, m)
+    name = "columnsort/cnet-columnsort"
+    ir_net = ReferenceMCBNetwork(p=k, k=k)
+    ir = sort_cnet_generator(
+        ir_net, {p: list(v) for p, v in columns.items()},
+        columnsort_network(k, paper_phase2, wrap_skip), phase="columnsort",
+    )
+    paper_net = ReferenceMCBNetwork(p=k, k=k)
+    paper = sort_even_pk(
+        paper_net, {p: list(v) for p, v in columns.items()},
+        engine="generator", paper_phase2=paper_phase2,
+        wrap_skip=wrap_skip, phase=name,
+    )
+    assert ir.output == paper.output
+    assert ir_net.stats.to_dict() == paper_net.stats.to_dict()
+    assert ir_net.stats.phases[0].name == name
 
 
 def test_unknown_engine_rejected():
@@ -237,15 +274,15 @@ def test_schedule_cache_counters_track_compilation_reuse(
     monkeypatch.setenv("REPRO_PLAN_CACHE", "off")
     reg = global_registry()
     reg.reset()
-    compiled_columnsort_phases.cache_clear()
-    compiled_columnsort_phases(M, K)
+    plan_registry().clear()
+    compiled_cnet_phases(columnsort_network(K), M)
     # counter() is create-or-fetch: the BvN counter only exists if this
     # session's schedule caches were cold when the phases compiled.
     bvn = reg.counter("columnsort_bvn_cache_total")
     misses = bvn.get(result="miss")
     hits = bvn.get(result="hit")
-    compiled_columnsort_phases.cache_clear()
-    compiled_columnsort_phases(M, K)
+    plan_registry().clear()
+    compiled_cnet_phases(columnsort_network(K), M)
     # Recompiling the same (m, k) hits the BvN cache (one lookup per
     # transformation phase) and recomputes nothing.
     assert bvn.get(result="miss") == misses
@@ -259,25 +296,25 @@ def test_plan_cache_counters_and_compile_seconds(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path / "plans"))
     reg = global_registry()
     reg.reset()
-    compiled_columnsort_phases.cache_clear()
+    plan_registry().clear()
     plans = reg.counter("vector_plan_cache_total")
-    compiled_columnsort_phases(M, K)
+    compiled_cnet_phases(columnsort_network(K), M)
     assert plans.get(result="miss", backend="columnsort") == 1
     assert plans.get(result="hit", backend="columnsort") == 0
     seconds = reg.counter("vector_plan_compile_seconds")
     first_cost = seconds.get()
     assert first_cost > 0
-    compiled_columnsort_phases(M, K)
+    compiled_cnet_phases(columnsort_network(K), M)
     assert plans.get(result="hit", backend="columnsort") == 1
     assert seconds.get() == first_cost  # hits compile nothing
     # wrap_skip is a distinct plan identity, not a hit on the plain one.
-    compiled_columnsort_phases(M, K, wrap_skip=True)
+    compiled_cnet_phases(columnsort_network(K, wrap_skip=True), M)
     assert plans.get(result="miss", backend="columnsort") == 2
     # A fresh in-process cache (= a fresh process) loads the persisted
     # entry from disk instead of recompiling.
     total_cost = seconds.get()
-    compiled_columnsort_phases.cache_clear()
-    compiled_columnsort_phases(M, K)
+    plan_registry().clear()
+    compiled_cnet_phases(columnsort_network(K), M)
     assert plans.get(result="disk_hit", backend="columnsort") == 1
     assert plans.get(result="miss", backend="columnsort") == 2
     assert seconds.get() == total_cost  # disk hits compile nothing
@@ -289,11 +326,11 @@ def test_plan_cache_disabled_by_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_PLAN_CACHE", "off")
     reg = global_registry()
     reg.reset()
-    compiled_columnsort_phases.cache_clear()
+    plan_registry().clear()
     plans = reg.counter("vector_plan_cache_total")
-    compiled_columnsort_phases(M, K)
-    compiled_columnsort_phases.cache_clear()
-    compiled_columnsort_phases(M, K)
+    compiled_cnet_phases(columnsort_network(K), M)
+    plan_registry().clear()
+    compiled_cnet_phases(columnsort_network(K), M)
     assert plans.get(result="miss", backend="columnsort") == 2
     assert plans.get(result="disk_hit", backend="columnsort") == 0
 
@@ -304,17 +341,21 @@ def test_prewarm_plan_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_PLAN_CACHE", str(tmp_path / "plans"))
     reg = global_registry()
     reg.reset()
-    compiled_columnsort_phases.cache_clear()
-    warmed = prewarm_plan_cache([(M, K), (M, K, False, True)])
+    plan_registry().clear()
+    warmed = prewarm_plan_cache([
+        ("columnsort", M, K, False, False), ("columnsort", M, K, False, True),
+    ])
     assert warmed == 2
     plans = reg.counter("vector_plan_cache_total")
     assert plans.get(result="miss", backend="columnsort") == 2
     # Warm cache: the next sort's plan lookup is a hit.
-    compiled_columnsort_phases(M, K)
+    compiled_cnet_phases(columnsort_network(K), M)
     assert plans.get(result="hit", backend="columnsort") == 1
     # Pre-warming persisted both entries: a fresh process disk-hits.
-    compiled_columnsort_phases.cache_clear()
-    warmed = prewarm_plan_cache([(M, K), (M, K, False, True)])
+    plan_registry().clear()
+    warmed = prewarm_plan_cache([
+        ("columnsort", M, K, False, False), ("columnsort", M, K, False, True),
+    ])
     assert warmed == 2
     assert plans.get(result="disk_hit", backend="columnsort") == 2
     assert plans.get(result="miss", backend="columnsort") == 2

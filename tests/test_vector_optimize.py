@@ -235,10 +235,11 @@ def test_fused_rejects_observed_runs():
 
 def test_fused_columnsort_phases_match_sequential():
     """The real columnsort transformation pipeline, fused end to end."""
-    from repro.sort.vector import compiled_columnsort_phases
+    from repro.mcb.cnet import columnsort_network
+    from repro.sort.cnet_sort import compiled_cnet_phases
 
     m, k = 16, 4
-    phases = compiled_columnsort_phases(m, k)
+    phases = compiled_cnet_phases(columnsort_network(k), m)
     rng = np.random.default_rng(9)
     rows = rng.integers(0, 1 << 20, size=(k, m)).tolist()
 
